@@ -767,7 +767,13 @@ def extract_aggregated_solution(instance: EnergySystemInstance,
 
 def bound_diagnostics(instance: EnergySystemInstance, assignment: ClusterAssignment,
                       bound_kind: str) -> dict:
-    """Structured per-cluster summary behind the command-line bounds report."""
+    """Structured per-cluster summary of one aggregated bound problem.
+
+    Lists each cluster's members, peak demands, internal and external edges
+    and forced expansion floor, plus the reference operating costs and the
+    nodal shortfalls of the non-transportable products.  Nothing in the
+    package calls it; it is a diagnostic for inspecting a clustering by hand.
+    """
     agg = aggregate_parameters(instance, assignment, bound_kind)
     merit = merit_order(instance, assignment)
     gaps = secured_gaps(instance, assignment, merit)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.sparse.csgraph import connected_components
 
 from .model import EnergySystemInstance
@@ -74,6 +73,10 @@ def cluster_labels(features: np.ndarray, k: int, method: str, seed: int = 0) -> 
     if method == HIERARCHICAL:
         if n == 1:
             return np.zeros(1, dtype=int)
+        # imported here: Ward linkage pulls in scipy.cluster and scipy.spatial,
+        # which the default k-medoids path never needs
+        from scipy.cluster.hierarchy import fcluster, linkage
+
         return fcluster(linkage(features, method="ward"), k, criterion="maxclust") - 1
     raise ValueError(f"unknown clustering method {method!r}")
 

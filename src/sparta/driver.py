@@ -9,7 +9,6 @@ band where they would meet within the target gap.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import simplex
@@ -21,7 +20,13 @@ from .bounds import (
     extract_aggregated_solution,
 )
 from .clustering import ClusterAssignment, cluster_nodes, split_disconnected
-from .lp import INFEASIBLE, InfeasibleInstanceError, NumericBreakdownError
+from .lp import (
+    INFEASIBLE,
+    UNBOUNDED,
+    InfeasibleInstanceError,
+    NumericBreakdownError,
+    UnboundedModelError,
+)
 from .model import EnergySystemInstance
 
 FAST_FORWARD = "fast-forward"
@@ -177,20 +182,18 @@ def run_iterations(instance: EnergySystemInstance,
             assignment = _cluster_and_split(instance, config, k)
 
         lb_lp = build_lb_lp(instance, assignment)
-        ub_lp = build_ub_lp(instance, assignment, loss_model=config.loss_model)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            lb_future = pool.submit(simplex.solve, lb_lp, config.solver_tolerance)
-            ub_future = pool.submit(simplex.solve, ub_lp, config.solver_tolerance)
-            lb_res = lb_future.result()
-            ub_res = ub_future.result()
-
+        lb_res = simplex.solve(lb_lp, config.solver_tolerance)
         if lb_res.status == INFEASIBLE:
             raise InfeasibleInstanceError(
                 "instance is infeasible even with free intra-cluster transport")
+        if lb_res.status == UNBOUNDED:
+            raise UnboundedModelError("lower bound LP is unbounded")
         if not lb_res.optimal:
             raise NumericBreakdownError(f"lower bound solve ended {lb_res.status!r}")
         tac_lb = lb_res.objective
 
+        ub_lp = build_ub_lp(instance, assignment, loss_model=config.loss_model)
+        ub_res = simplex.solve(ub_lp, config.solver_tolerance)
         ub_solution = None
         if ub_res.optimal:
             tac_ub = ub_res.objective
@@ -200,6 +203,8 @@ def run_iterations(instance: EnergySystemInstance,
                 raise InfeasibleInstanceError(
                     "restriction is still infeasible at full resolution")
             tac_ub = math.inf  # too coarse; a finer resolution may recover
+        elif ub_res.status == UNBOUNDED:
+            raise UnboundedModelError("upper bound LP is unbounded")
         else:
             raise NumericBreakdownError(f"upper bound solve ended {ub_res.status!r}")
 

@@ -37,10 +37,12 @@ from .driver import RunResult, SpArtaConfig, gap, run_iterations
 from .full_model import build_full_lp
 from .lp import (
     INFEASIBLE,
+    UNBOUNDED,
     DocumentFormatError,
     InfeasibleInstanceError,
     NumericBreakdownError,
     SpartaError,
+    UnboundedModelError,
 )
 from .model import EnergySystemInstance
 from .solution import SystemSolution, extract_solution
@@ -96,6 +98,8 @@ def solve_full(instance: EnergySystemInstance, tol: float = 1e-7) -> SystemSolut
     result = simplex.solve(lp, tol)
     if result.status == INFEASIBLE:
         raise InfeasibleInstanceError("full-scale model is infeasible")
+    if result.status == UNBOUNDED:
+        raise UnboundedModelError("full-scale model is unbounded")
     if not result.optimal:
         raise NumericBreakdownError(f"full-scale solve ended {result.status!r}")
     return extract_solution(instance, lp, result)

@@ -37,7 +37,7 @@ AT_UPPER = np.int8(1)
 FREE_ZERO = np.int8(2)
 IN_BASIS = np.int8(3)
 
-_REFACTOR_EVERY = 120
+_REFACTOR_EVERY = 15
 _STALL_LIMIT = 500
 
 
@@ -91,7 +91,6 @@ def solve(lp: LinearProgram, tol: float = 1e-7, size_limit: int = DEFAULT_SIZE_L
         return _solve_unconstrained(lp, c_real, lb_s, ub_s, start)
 
     a_struct = lp.matrix()  # csr, shape (m, n)
-    a_csc = a_struct.tocsc()
     at = a_struct.T  # csc view; at.dot(y) gives A^T y
     b = lp.rhs_vector()
     rels = lp.relations()
@@ -149,41 +148,18 @@ def solve(lp: LinearProgram, tol: float = 1e-7, size_limit: int = DEFAULT_SIZE_L
     lb_all = np.concatenate([lb, np.zeros(n_art)])
     ub_all = np.concatenate([ub, np.full(n_art, math.inf)])
 
+    # every column the solve can touch, so basis and entering columns are slices
+    art = sp.csc_matrix((art_signs_arr, (art_rows, np.arange(n_art))), shape=(m, n_art))
+    cols = sp.hstack([a_struct.tocsc(), sp.identity(m, format="csc"), art], format="csc")
+
     def column(j: int) -> np.ndarray:
         col = np.zeros(m)
-        if j < n:
-            sl = slice(a_csc.indptr[j], a_csc.indptr[j + 1])
-            col[a_csc.indices[sl]] = a_csc.data[sl]
-        elif j < n + m:
-            col[j - n] = 1.0
-        else:
-            k = j - n - m
-            col[art_rows[k]] = art_signs_arr[k]
+        sl = slice(cols.indptr[j], cols.indptr[j + 1])
+        col[cols.indices[sl]] = cols.data[sl]
         return col
 
     def basis_matrix() -> sp.csc_matrix:
-        rows_l: list[np.ndarray] = []
-        cols_l: list[np.ndarray] = []
-        vals_l: list[np.ndarray] = []
-        for pos, j in enumerate(basis):
-            if j < n:
-                sl = slice(a_csc.indptr[j], a_csc.indptr[j + 1])
-                rows_l.append(a_csc.indices[sl])
-                vals_l.append(a_csc.data[sl])
-                cols_l.append(np.full(a_csc.indptr[j + 1] - a_csc.indptr[j], pos))
-            elif j < n + m:
-                rows_l.append(np.array([j - n]))
-                vals_l.append(np.array([1.0]))
-                cols_l.append(np.array([pos]))
-            else:
-                k = j - n - m
-                rows_l.append(np.array([art_rows[k]]))
-                vals_l.append(np.array([art_signs_arr[k]]))
-                cols_l.append(np.array([pos]))
-        return sp.csc_matrix(
-            (np.concatenate(vals_l), (np.concatenate(rows_l), np.concatenate(cols_l))),
-            shape=(m, m),
-        )
+        return cols[:, basis]
 
     def refactor() -> _Basis:
         try:

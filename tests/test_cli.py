@@ -2,10 +2,13 @@
 
 import dataclasses
 import json
+import math
 
+import numpy as np
 import pytest
 
 import sparta.cli as cli
+from sparta import simplex
 from sparta.cli import EXIT_INFEASIBLE, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from sparta.io import (
     read_assignment,
@@ -14,7 +17,7 @@ from sparta.io import (
     read_solution,
     write_instance,
 )
-from sparta.lp import NumericBreakdownError
+from sparta.lp import UNBOUNDED, NumericBreakdownError, SolveResult
 from sparta.mps import read_standard
 from sparta.pipeline import read_report
 
@@ -153,6 +156,17 @@ def test_numeric_failure_exit_code(instance_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "solve_full", blow_up)
     assert main(["solve-full", "--instance", str(instance_path)]) == EXIT_NUMERIC
     assert "pivot stall" in capsys.readouterr().err
+
+
+def test_unbounded_model_exit_code(instance_path, monkeypatch, capsys):
+    def unbounded(lp, *args, **kwargs):
+        return SolveResult(UNBOUNDED, -math.inf, np.full(lp.n_variables, math.nan), 0, 0.0)
+
+    monkeypatch.setattr(simplex, "solve", unbounded)
+    assert main(["solve-full", "--instance", str(instance_path)]) == EXIT_NUMERIC
+    assert "unbounded" in capsys.readouterr().err
+    assert main(["bounds", "--instance", str(instance_path)]) == EXIT_NUMERIC
+    assert "lower bound LP is unbounded" in capsys.readouterr().err
 
 
 def test_bad_step_rule_is_validation_failure(instance_path):

@@ -1,11 +1,16 @@
 """Clustering tests: features, all three methods, connectivity splitting."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sparta.clustering
 from sparta.clustering import (
+    HIERARCHICAL,
     METHODS,
     ClusterAssignment,
     assignment_from_labels,
@@ -176,3 +181,26 @@ def test_cluster_nodes_end_to_end():
     assert isinstance(assignment, ClusterAssignment)
     assert sum(assignment.cardinality.values()) == 4
     assert assignment.k == 2
+
+
+def test_pipeline_import_leaves_ward_clustering_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sparta.clustering.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys, sparta.pipeline; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.cluster')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_hierarchical_separates_three_blobs():
+    points = np.array([[0.0, 0.0], [0.5, 0.0], [20.0, 0.0], [20.0, 0.5],
+                       [0.0, 20.0], [0.5, 20.5], [0.2, 19.8]])
+    labels = cluster_labels(points, 3, HIERARCHICAL)
+    groups = {frozenset(np.flatnonzero(labels == v).tolist()) for v in set(labels.tolist())}
+    assert groups == {frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5, 6})}
+    instance = factories.heat_and_power_instance()
+    assignment = cluster_nodes(instance, 2, HIERARCHICAL)
+    assert assignment.k == 2
+    assert sum(assignment.cardinality.values()) == 4

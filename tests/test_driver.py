@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from sparta import io
+from sparta import io, simplex
+from sparta.bounds import LOWER, UPPER
 from sparta.driver import (
     CONVERGED,
     FAST_FORWARD,
@@ -17,7 +18,7 @@ from sparta.driver import (
     gap,
     run_iterations,
 )
-from sparta.lp import InfeasibleInstanceError
+from sparta.lp import UNBOUNDED, InfeasibleInstanceError, SolveResult, UnboundedModelError
 from sparta.model import (
     GRID,
     PRODUCTION,
@@ -226,6 +227,20 @@ def test_relaxation_infeasible_means_instance_infeasible():
         instance, availability=np.zeros_like(instance.availability))
     with pytest.raises(InfeasibleInstanceError, match="free intra-cluster"):
         run_iterations(becalmed, SpArtaConfig())
+
+
+@pytest.mark.parametrize("kind", [LOWER, UPPER])
+def test_unbounded_bound_lp_raises_typed_error(kind, monkeypatch):
+    real_solve = simplex.solve
+
+    def solve(lp, *args, **kwargs):
+        if lp.name.startswith(f"{kind}-"):
+            return SolveResult(UNBOUNDED, -math.inf, np.full(lp.n_variables, math.nan), 0, 0.0)
+        return real_solve(lp, *args, **kwargs)
+
+    monkeypatch.setattr(simplex, "solve", solve)
+    with pytest.raises(UnboundedModelError, match=f"{kind} bound LP is unbounded"):
+        run_iterations(factories.heat_and_power_instance(), SpArtaConfig())
 
 
 def test_iteration_budget_is_respected():

@@ -3,15 +3,20 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 import sparta.pipeline as pipeline
+from sparta import simplex
 from sparta.driver import SpArtaConfig
 from sparta.generator import GeneratorSpec, generate
 from sparta.lp import (
+    UNBOUNDED,
     DocumentFormatError,
     InfeasibleInstanceError,
+    SolveResult,
     SubproblemError,
+    UnboundedModelError,
 )
 from sparta.pipeline import (
     ComparisonReport,
@@ -45,6 +50,15 @@ def test_solve_full_infeasible_emission_cap():
     inst = dataclasses.replace(inst, components=(gen,), ghg_limit=0.0)
     with pytest.raises(InfeasibleInstanceError):
         solve_full(inst)
+
+
+def test_solve_full_unbounded_raises_typed_error(monkeypatch):
+    def unbounded(lp, *args, **kwargs):
+        return SolveResult(UNBOUNDED, -math.inf, np.full(lp.n_variables, math.nan), 0, 0.0)
+
+    monkeypatch.setattr(simplex, "solve", unbounded)
+    with pytest.raises(UnboundedModelError, match="full-scale model is unbounded"):
+        solve_full(factories.single_node_instance())
 
 
 def test_run_pipeline_brackets_the_benchmark():

@@ -4,15 +4,22 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sparta import simplex
+from sparta.full_model import build_full_lp
+from sparta.generator import GeneratorSpec, generate
 from sparta.lp import (
+    EQ,
+    GE,
     INFEASIBLE,
+    LE,
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
     SizeLimitError,
 )
+from sparta.model import DC, TRANSSHIPMENT
 
 import _lp_oracle as oracle
 
@@ -158,3 +165,31 @@ def test_duel_wide_instance():
     # wider-than-tall duel, close to the production shape
     failures = oracle.run_duels(4, seed=11, max_vars=30, max_rows=10)
     assert not failures, "\n".join(failures)
+
+
+def _highs_objective(lp):
+    from scipy.optimize import linprog
+
+    a = lp.matrix()
+    b = lp.rhs_vector()
+    rel = np.array(lp.relations())
+    le, ge, eq = rel == LE, rel == GE, rel == EQ
+    lo, up = lp.bounds()
+    res = linprog(lp.objective_vector(),
+                  A_ub=sp.vstack([a[le], -a[ge]]).tocsr(), b_ub=np.concatenate([b[le], -b[ge]]),
+                  A_eq=a[eq], b_eq=b[eq], bounds=np.column_stack([lo, up]), method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun) + lp.objective_constant
+
+
+@pytest.mark.parametrize("mode", [TRANSSHIPMENT, DC])
+def test_refactorized_solves_match_highs_on_full_models(mode):
+    # long enough that the basis is refactorized several times mid-solve
+    for seed in range(3):
+        lp = build_full_lp(generate(GeneratorSpec(
+            seed=seed, n_nodes=5, n_time_steps=5, n_products=3, n_components=5,
+            transport_mode=mode)))
+        res = simplex.solve(lp)
+        assert res.status == OPTIMAL
+        assert res.iterations > 3 * simplex._REFACTOR_EVERY
+        assert res.objective == pytest.approx(_highs_objective(lp), rel=1e-9)
