@@ -1,16 +1,21 @@
 """Bundled LP solver: bounded-variable two-phase revised simplex.
 
-The basis inverse is represented by a sparse LU factorization plus a
-product-form eta file that is rebuilt periodically.  Pricing is Dantzig
-(most-negative reduced cost) with an automatic switch to Bland's least-index
-rule while the objective stalls, which breaks cycling on degenerate bases.
-Infeasible starting rows get one artificial column each; phase one drives
-their sum to zero, phase two optimizes the real objective with the artificial
-columns pinned.
+The basis inverse is a sparse LU factorization of the last refactorized basis
+plus a compact product-form eta file (see :class:`_Basis`), so ``ftran`` and
+``btran`` cost a fixed number of array calls however many updates the file
+holds; the basis is refactorized every ``_REFACTOR_EVERY`` updates.  Pricing
+is Dantzig (most-negative reduced cost, read off a per-column sign kept in
+step with every pivot and bound flip) with an automatic switch to Bland's
+least-index rule while the objective stalls, which breaks cycling on
+degenerate bases.  Infeasible starting rows get one artificial column each;
+phase one drives their sum to zero, phase two optimizes the real objective
+with the artificial columns pinned.  Every solve that returns a result emits
+one DEBUG record on the ``sparta.simplex`` logger.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 
@@ -37,38 +42,78 @@ AT_UPPER = np.int8(1)
 FREE_ZERO = np.int8(2)
 IN_BASIS = np.int8(3)
 
-_REFACTOR_EVERY = 15
+_REFACTOR_EVERY = 60
 _STALL_LIMIT = 500
+
+_log = logging.getLogger(__name__)
 
 
 class _Basis:
-    """LU factorization of the basis plus the eta file accumulated since."""
+    """LU factorization of a basis ``B0`` plus the eta file of the updates since.
 
-    def __init__(self, cols: sp.csc_matrix):
+    Update ``i`` put a column whose ftran was ``w`` at basis position
+    ``R[i]``.  It is stored scaled, ``v_i = w / w[R[i]]`` with
+    ``v_i[R[i]] = 1 - 1 / w[R[i]]``, so that its inverse eta maps
+    ``z -> z - v_i * z[R[i]]``.  Applied in order, the etas couple through the
+    unit lower-triangular ``L[i, j] = v_j[R[i]]`` (``j < i``), whose inverse is
+    kept and grows by one row per :meth:`push`.  With ``V`` the block of the
+    ``v_i`` as rows, ``ftran`` is ``z - V.T @ (inv(L) @ z[R])`` after the LU
+    solve and ``btran`` is ``c - scatter(R, inv(L).T @ (V @ c))`` before the
+    transposed one.  ``capacity`` bounds the number of updates.
+    """
+
+    def __init__(self, cols: sp.csc_matrix, capacity: int):
         self.lu = spla.splu(cols.tocsc(), permc_spec="COLAMD")
-        self.etas: list[tuple[int, np.ndarray]] = []
+        self.v = np.empty((capacity, cols.shape[0]))
+        self.rows = np.empty(capacity, dtype=np.intp)
+        self.linv = np.eye(capacity)
+        self.age = 0
 
-    def ftran(self, v: np.ndarray) -> np.ndarray:
-        z = self.lu.solve(v)
-        for r, w in self.etas:
-            zr = z[r] / w[r]
-            z -= w * zr
-            z[r] = zr
+    def ftran(self, a: np.ndarray) -> np.ndarray:
+        z = self.lu.solve(a)
+        k = self.age
+        if k:
+            z -= (self.linv[:k, :k] @ z[self.rows[:k]]) @ self.v[:k]
         return z
 
-    def btran(self, v: np.ndarray) -> np.ndarray:
-        z = v.copy()
-        for r, w in reversed(self.etas):
-            num = z[r] - (w @ z) + w[r] * z[r]
-            z[r] = num / w[r]
-        return self.lu.solve(z, trans="T")
+    def btran(self, c: np.ndarray) -> np.ndarray:
+        k = self.age
+        if k:
+            coupled = (self.v[:k] @ c) @ self.linv[:k, :k]
+            c = c - np.bincount(self.rows[:k], weights=coupled, minlength=c.size)
+        return self.lu.solve(c, trans="T")
 
     def push(self, r: int, w: np.ndarray) -> None:
-        self.etas.append((r, w.copy()))
+        k = self.age
+        v = self.v[k]
+        np.divide(w, w[r], out=v)
+        v[r] = 1.0 - 1.0 / w[r]
+        if k:
+            self.linv[k, :k] = -(self.v[:k, r] @ self.linv[:k, :k])
+        self.rows[k] = r
+        self.age = k + 1
 
-    @property
-    def age(self) -> int:
-        return len(self.etas)
+
+def _record(lp: LinearProgram, result: SolveResult, nnz: int, phase_one_iterations: int,
+            refactorizations: int) -> SolveResult:
+    """Emit the solve's DEBUG record and hand ``result`` back."""
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug(
+            "%s: %s after %d iterations in %.4f s", lp.name, result.status, result.iterations,
+            result.wall_time,
+            extra={
+                "lp_name": lp.name,
+                "rows": lp.n_constraints,
+                "columns": lp.n_variables,
+                "nnz": nnz,
+                "status": result.status,
+                "phase_one_iterations": phase_one_iterations,
+                "iterations": result.iterations,
+                "refactorizations": refactorizations,
+                "wall_s": result.wall_time,
+            },
+        )
+    return result
 
 
 def solve(lp: LinearProgram, tol: float = 1e-7, size_limit: int = DEFAULT_SIZE_LIMIT,
@@ -77,7 +122,10 @@ def solve(lp: LinearProgram, tol: float = 1e-7, size_limit: int = DEFAULT_SIZE_L
 
     Raises :class:`SizeLimitError` above ``size_limit`` variables and
     :class:`NumericBreakdownError` when residual checks fail after convergence
-    or the iteration budget is exhausted.
+    or the iteration budget is exhausted.  A returned result is also logged at
+    DEBUG level on ``sparta.simplex``, with the LP's name and size, status,
+    phase-one and total iterations, refactorizations and wall time as record
+    attributes.
     """
     start = time.perf_counter()
     n = lp.n_variables
@@ -88,10 +136,9 @@ def solve(lp: LinearProgram, tol: float = 1e-7, size_limit: int = DEFAULT_SIZE_L
     lb_s, ub_s = lp.bounds()
     c_real = lp.objective_vector()
     if m == 0:
-        return _solve_unconstrained(lp, c_real, lb_s, ub_s, start)
+        return _record(lp, _solve_unconstrained(lp, c_real, lb_s, ub_s, start), 0, 0, 0)
 
     a_struct = lp.matrix()  # csr, shape (m, n)
-    at = a_struct.T  # csc view; at.dot(y) gives A^T y
     b = lp.rhs_vector()
     rels = lp.relations()
 
@@ -151,6 +198,7 @@ def solve(lp: LinearProgram, tol: float = 1e-7, size_limit: int = DEFAULT_SIZE_L
     # every column the solve can touch, so basis and entering columns are slices
     art = sp.csc_matrix((art_signs_arr, (art_rows, np.arange(n_art))), shape=(m, n_art))
     cols = sp.hstack([a_struct.tocsc(), sp.identity(m, format="csc"), art], format="csc")
+    at = cols[:, : n + m].T  # csr; at.dot(y) gives [A | I]^T y
 
     def column(j: int) -> np.ndarray:
         col = np.zeros(m)
@@ -161,9 +209,13 @@ def solve(lp: LinearProgram, tol: float = 1e-7, size_limit: int = DEFAULT_SIZE_L
     def basis_matrix() -> sp.csc_matrix:
         return cols[:, basis]
 
+    refactors = 0
+
     def refactor() -> _Basis:
+        nonlocal refactors
+        refactors += 1
         try:
-            fac = _Basis(basis_matrix())
+            fac = _Basis(basis_matrix(), _REFACTOR_EVERY + 1)
         except RuntimeError as exc:  # singular basis
             raise NumericBreakdownError(f"{lp.name}: singular basis during refactorization") from exc
         return fac
@@ -177,18 +229,27 @@ def solve(lp: LinearProgram, tol: float = 1e-7, size_limit: int = DEFAULT_SIZE_L
 
     fac = refactor()
 
-    feastol = tol * (1.0 + float(np.max(np.abs(b))) if m else 1.0)
+    feastol = tol * (1.0 + float(np.max(np.abs(b))))
     iter_cap = max_iterations or max(20_000, 60 * (m + n))
-    total_iters = 0
+    total_iters = phase_one_iters = 0
+
+    def finish(result_status: str, objective: float, x: np.ndarray) -> SolveResult:
+        result = SolveResult(result_status, objective, x, total_iters, time.perf_counter() - start)
+        return _record(lp, result, a_struct.nnz, phase_one_iters, refactors)
 
     def run_phase(cost: np.ndarray, phase_one: bool) -> str:
         nonlocal fac, total_iters, x_b
         dtol = 1e-9 * max(1.0, float(np.max(np.abs(cost))) if cost.size else 1.0)
         bland = False
         stall = 0
-        idx_ns = np.arange(n + m)
         fixed = lb[: n + m] == ub[: n + m]
         cost_all = np.concatenate([cost, np.full(n_art, 1.0 if phase_one else 0.0)])
+        # pricing sign: +1 at lower, -1 at upper, 0 basic or fixed; column j can
+        # improve the objective when sign[j] * rc[j] < -dtol (free: |rc[j]| > dtol)
+        sign = np.where(status == AT_LOWER, 1.0, np.where(status == AT_UPPER, -1.0, 0.0))
+        sign[fixed] = 0.0
+        free = np.flatnonzero(status == FREE_ZERO)
+        ptol = 1e-9
         while True:
             if total_iters > iter_cap:
                 raise NumericBreakdownError(
@@ -201,45 +262,27 @@ def solve(lp: LinearProgram, tol: float = 1e-7, size_limit: int = DEFAULT_SIZE_L
 
             cb = cost_all[basis]
             y = fac.btran(cb)
-            rc = np.empty(n + m)
-            rc[:n] = cost[:n] - at.dot(y)
-            rc[n:] = cost[n:] - y
+            rc = cost - at.dot(y)
 
-            nonbasic = status != IN_BASIS
-            can_enter = nonbasic & ~fixed
-            lower_viol = can_enter & (status == AT_LOWER) & (rc < -dtol)
-            upper_viol = can_enter & (status == AT_UPPER) & (rc > dtol)
-            free_viol = can_enter & (status == FREE_ZERO) & (np.abs(rc) > dtol)
-            any_viol = lower_viol | upper_viol | free_viol
-            if not any_viol.any():
-                return "optimal"
-
+            score = sign * rc
+            if free.size:
+                score[free] = -np.abs(rc[free])
             if bland:
-                q = int(idx_ns[any_viol][0])
+                q = int(np.argmax(score < -dtol))
             else:
-                viol_scores = np.where(any_viol, np.abs(rc), 0.0)
-                q = int(np.argmax(viol_scores))
-            if lower_viol[q]:
-                dirn = 1.0
-            elif upper_viol[q]:
-                dirn = -1.0
-            else:
-                dirn = -math.copysign(1.0, rc[q])
+                q = int(np.argmin(score))
+            if not score[q] < -dtol:
+                return "optimal"
+            dirn = float(sign[q]) or -math.copysign(1.0, rc[q])
 
             w = fac.ftran(column(q))
             denom = dirn * w
-            lb_b = lb_all[basis]
-            ub_b = ub_all[basis]
-            ptol = 1e-9
-            t_hit = np.full(m, math.inf)
-            dec = denom > ptol
-            inc = denom < -ptol
-            with np.errstate(invalid="ignore", divide="ignore"):
-                t_hit[dec] = (x_b[dec] - lb_b[dec]) / denom[dec]
-                t_hit[inc] = (x_b[inc] - ub_b[inc]) / denom[inc]
-            t_hit = np.maximum(t_hit, 0.0)
-            t_basic = float(t_hit.min()) if m else math.inf
-            flip_range = ub[q] - lb[q] if q < n + m else math.inf
+            bound = np.where(denom > 0.0, lb_all[basis], ub_all[basis])
+            t_hit = np.divide(x_b - bound, denom, out=np.full(m, math.inf),
+                              where=np.abs(denom) > ptol)
+            np.maximum(t_hit, 0.0, out=t_hit)
+            t_basic = float(t_hit.min())
+            flip_range = ub[q] - lb[q]
 
             if not math.isfinite(t_basic) and not math.isfinite(flip_range):
                 if phase_one:
@@ -251,6 +294,7 @@ def solve(lp: LinearProgram, tol: float = 1e-7, size_limit: int = DEFAULT_SIZE_L
                 x_b -= step * denom
                 status[q] = AT_UPPER if status[q] == AT_LOWER else AT_LOWER
                 xval[q] = ub[q] if status[q] == AT_UPPER else lb[q]
+                sign[q] = -sign[q]
             else:
                 step = t_basic
                 ties = np.flatnonzero(t_hit <= step + 1e-12)
@@ -271,10 +315,14 @@ def solve(lp: LinearProgram, tol: float = 1e-7, size_limit: int = DEFAULT_SIZE_L
                 if leaving < n + m:
                     status[leaving] = AT_LOWER if hit_lower else AT_UPPER
                     xval[leaving] = lb_all[leaving] if hit_lower else ub_all[leaving]
+                    if not fixed[leaving]:
+                        sign[leaving] = 1.0 if hit_lower else -1.0
                 else:  # artificial leaves for good
                     ub_all[leaving] = 0.0
-                enter_from = xval[q] if q < n + m else 0.0
-                x_b[leave_pos] = enter_from + dirn * step
+                if not sign[q]:  # a free column enters and never leaves again
+                    free = free[free != q]
+                sign[q] = 0.0
+                x_b[leave_pos] = xval[q] + dirn * step
                 basis[leave_pos] = q
                 status[q] = IN_BASIS
                 fac.push(leave_pos, w)
@@ -290,11 +338,11 @@ def solve(lp: LinearProgram, tol: float = 1e-7, size_limit: int = DEFAULT_SIZE_L
     # phase one
     if n_art:
         run_phase(np.zeros(n + m), phase_one=True)
+        phase_one_iters = total_iters
         art_mask = basis >= n + m
         art_total = float(np.abs(x_b[art_mask]).sum()) if art_mask.any() else 0.0
         if art_total > feastol:
-            return SolveResult(INFEASIBLE, math.nan, np.full(n, math.nan), total_iters,
-                               time.perf_counter() - start)
+            return finish(INFEASIBLE, math.nan, np.full(n, math.nan))
         x_b[art_mask] = 0.0
         ub_all[n + m:] = 0.0  # pin every artificial for phase two
 
@@ -302,8 +350,7 @@ def solve(lp: LinearProgram, tol: float = 1e-7, size_limit: int = DEFAULT_SIZE_L
     cost2 = np.concatenate([c_real, np.zeros(m)])
     outcome = run_phase(cost2, phase_one=False)
     if outcome == "unbounded":
-        return SolveResult(UNBOUNDED, -math.inf, np.full(n, math.nan), total_iters,
-                           time.perf_counter() - start)
+        return finish(UNBOUNDED, -math.inf, np.full(n, math.nan))
 
     # assemble, verify, and clean the primal point
     fac = refactor()
@@ -324,7 +371,7 @@ def solve(lp: LinearProgram, tol: float = 1e-7, size_limit: int = DEFAULT_SIZE_L
         )
     x_struct = np.clip(x_struct, lb_s, ub_s)
     objective = float(c_real @ x_struct) + lp.objective_constant
-    return SolveResult(OPTIMAL, objective, x_struct, total_iters, time.perf_counter() - start)
+    return finish(OPTIMAL, objective, x_struct)
 
 
 def _solve_unconstrained(lp: LinearProgram, c: np.ndarray, lb: np.ndarray, ub: np.ndarray,

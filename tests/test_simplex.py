@@ -111,8 +111,7 @@ def test_negative_lower_bound():
     assert res.objective == pytest.approx(-5.0, abs=1e-9)
 
 
-def test_degenerate_cycling_candidate():
-    # Beale's classic cycling construction; anti-cycling must still finish.
+def _beale_lp():
     lp = LinearProgram(name="beale")
     x1 = lp.add_variable("x1", obj=-0.75)
     x2 = lp.add_variable("x2", obj=150.0)
@@ -121,7 +120,12 @@ def test_degenerate_cycling_candidate():
     lp.add_constraint("r1", [(x1, 0.25), (x2, -60.0), (x3, -0.04), (x4, 9.0)], "<=", 0.0)
     lp.add_constraint("r2", [(x1, 0.5), (x2, -90.0), (x3, -0.02), (x4, 3.0)], "<=", 0.0)
     lp.add_constraint("r3", [(x3, 1.0)], "<=", 1.0)
-    res = simplex.solve(lp)
+    return lp
+
+
+def test_degenerate_cycling_candidate():
+    # Beale's classic cycling construction; anti-cycling must still finish.
+    res = simplex.solve(_beale_lp())
     assert res.status == OPTIMAL
     assert res.objective == pytest.approx(-0.05, abs=1e-9)
 
@@ -193,3 +197,61 @@ def test_refactorized_solves_match_highs_on_full_models(mode):
         assert res.status == OPTIMAL
         assert res.iterations > 3 * simplex._REFACTOR_EVERY
         assert res.objective == pytest.approx(_highs_objective(lp), rel=1e-9)
+
+
+def test_compact_eta_file_matches_dense_solves():
+    # a wrong coupling row or a wrong scatter over repeated positions breaks this
+    rng = np.random.default_rng(31)
+    m = simplex._REFACTOR_EVERY + 20
+    dense = np.diag(rng.uniform(2.0, 4.0, m)) + np.where(rng.random((m, m)) < 0.08,
+                                                         rng.uniform(-1.0, 1.0, (m, m)), 0.0)
+    fac = simplex._Basis(sp.csc_matrix(dense), simplex._REFACTOR_EVERY + 1)
+    positions = list(rng.choice(m, simplex._REFACTOR_EVERY - 1, replace=False))
+    positions += [positions[2], positions[2]]  # one position replaced twice more
+    basis = dense.copy()
+    for r in positions:
+        while True:
+            col = np.where(rng.random(m) < 0.2, rng.uniform(-1.0, 1.0, m), 0.0)
+            col[r] = rng.uniform(2.0, 4.0)
+            w = fac.ftran(col)
+            if abs(w[r]) > 0.5:
+                break
+        fac.push(int(r), w)
+        basis[:, r] = col
+        rhs = rng.standard_normal(m)
+        for got, want in ((fac.ftran(rhs), np.linalg.solve(basis, rhs)),
+                          (fac.btran(rhs), np.linalg.solve(basis.T, rhs))):
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+    assert fac.age == simplex._REFACTOR_EVERY + 1
+
+
+def test_bland_fallback_agrees_with_exact_oracle(monkeypatch):
+    # every degenerate step switches to the least-index rule
+    monkeypatch.setattr(simplex, "_STALL_LIMIT", 0)
+    lp = _beale_lp()
+    want_status, want_obj = oracle.oracle_solve(lp)
+    res = simplex.solve(lp)
+    assert res.status == want_status == OPTIMAL
+    assert res.objective == pytest.approx(want_obj, abs=1e-9)
+    failures = oracle.run_duels(40, seed=90125, max_vars=12, max_rows=12)
+    assert not failures, "\n".join(failures)
+
+
+def test_each_solve_leaves_one_debug_record(caplog):
+    lp = LinearProgram(name="polygon")
+    x = lp.add_variable("x", obj=1.0)
+    y = lp.add_variable("y", obj=1.0)
+    lp.add_constraint("c1", [(x, 1.0), (y, 2.0)], ">=", 4.0)
+    lp.add_constraint("c2", [(x, 3.0), (y, 1.0)], ">=", 6.0)
+    with caplog.at_level("DEBUG", logger="sparta.simplex"):
+        res = simplex.solve(lp)
+    records = [r for r in caplog.records if r.name == "sparta.simplex"]
+    assert len(records) == 1
+    rec = records[0]
+    assert rec.levelname == "DEBUG"
+    assert (rec.lp_name, rec.rows, rec.columns, rec.nnz) == ("polygon", 2, 2, 4)
+    assert rec.status == OPTIMAL
+    assert 0 < rec.phase_one_iterations <= rec.iterations == res.iterations
+    assert rec.refactorizations >= 2  # the first factorization and the final check
+    assert rec.wall_s == res.wall_time
+
