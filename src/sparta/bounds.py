@@ -1,4 +1,4 @@
-"""Aggregated bounding problems over a node clustering.
+"""Design LPs over a node clustering: the two aggregated bounds and the full LP.
 
 The lower bound relaxes the full problem: each cluster behaves like one
 well-connected node whose internal transport is free and unlimited, so the
@@ -7,6 +7,12 @@ worst across members, internal transport is dimensioned for the whole
 cluster's peak flow at worst-case losses, and existing units may only run
 where they beat the cheapest buildable producer, so an aggregated design
 stays realizable after disaggregation.
+
+At the identity partition, where every node is its own cluster, the
+relaxation relaxes nothing: the lower-bound LP is the full-resolution LP.
+:func:`sparta.full_model.build_full_lp` builds it that way, with each region
+keyed by its node id instead of a cluster index.  The structural checks that
+every build runs first live here too.
 """
 
 from __future__ import annotations
@@ -15,10 +21,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
-from .clustering import ClusterAssignment, split_disconnected
-from .full_model import check_existing_within_limits, check_reachability
-from .lp import EQ, GE, LE, LinearProgram, SolveResult
+from .clustering import ClusterAssignment, assignment_from_labels, split_disconnected
+from .lp import EQ, GE, LE, LinearProgram, SolveResult, StructurallyInfeasibleError
 from .model import TRANSSHIPMENT, EnergySystemInstance
 
 LOWER = "lower"
@@ -30,6 +37,90 @@ UPPER = "upper"
 # which dominates the full model's per-edge loss accounting on serial chains
 COMPOUND_LOSSES = "compound"
 ADDITIVE_LOSSES = "additive"
+LOSS_MODELS = (COMPOUND_LOSSES, ADDITIVE_LOSSES)
+
+
+def _possible_producers(instance: EnergySystemInstance, theta: np.ndarray, b: int) -> np.ndarray:
+    """Boolean mask over nodes where product ``b`` could ever be generated."""
+    mask = np.zeros(instance.n_nodes, dtype=bool)
+    for c, comp in enumerate(instance.production_components):
+        if theta[b, c] <= 0.0:
+            continue
+        for n, node in enumerate(instance.nodes):
+            if mask[n]:
+                continue
+            existing = float(instance.existing_production[c, n, :].sum())
+            if existing > 0.0 or instance.production_cap_limit(comp, node.id) > 0.0:
+                mask[n] = True
+    return mask
+
+
+def check_reachability(instance: EnergySystemInstance) -> None:
+    """Reject demand that no producer or grid path could ever serve."""
+    theta = instance.ratio_matrix()
+    carried = {b for g in instance.grid_components for b in [instance.grid_product(g)[0]]}
+    n_nodes = instance.n_nodes
+    if instance.edges:
+        rows = [instance.edge_endpoints(e)[0] for e in range(instance.n_edges)]
+        cols = [instance.edge_endpoints(e)[1] for e in range(instance.n_edges)]
+        adj = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n_nodes, n_nodes))
+        _, labels = connected_components(adj, directed=False)
+    else:
+        labels = np.arange(n_nodes)
+
+    problems: list[str] = []
+    for b, product in enumerate(instance.products):
+        demand_nodes = np.flatnonzero(instance.demand[b].max(axis=1) > 0.0)
+        if demand_nodes.size == 0:
+            continue
+        producers = _possible_producers(instance, theta, b)
+        if product.transportable and b in carried:
+            reachable_labels = {labels[n] for n in np.flatnonzero(producers)}
+            for n in demand_nodes:
+                if labels[n] not in reachable_labels:
+                    problems.append(
+                        f"product {product.id!r}: demand at node {instance.nodes[n].id!r} "
+                        "has no producer in its connected region"
+                    )
+        else:
+            for n in demand_nodes:
+                if not producers[n]:
+                    problems.append(
+                        f"product {product.id!r}: demand at node {instance.nodes[n].id!r} "
+                        "has no local producer and no grid carries the product"
+                    )
+    if problems:
+        raise StructurallyInfeasibleError("; ".join(problems))
+
+
+def check_existing_within_limits(instance: EnergySystemInstance) -> None:
+    """Reject legacy capacity that already violates an expansion limit."""
+    for c, comp in enumerate(instance.production_components):
+        total = 0.0
+        for n, node in enumerate(instance.nodes):
+            existing = float(instance.existing_production[c, n, :].sum())
+            total += existing
+            if existing > instance.production_cap_limit(comp, node.id) + 1e-9:
+                raise StructurallyInfeasibleError(
+                    f"component {comp.id!r}: existing capacity at {node.id!r} exceeds its nodal limit"
+                )
+        if comp.system_capacity_limit is not None and total > comp.system_capacity_limit + 1e-9:
+            raise StructurallyInfeasibleError(
+                f"component {comp.id!r}: existing capacity exceeds the system-wide limit"
+            )
+    for g, comp in enumerate(instance.grid_components):
+        total = 0.0
+        for e, edge in enumerate(instance.edges):
+            existing = float(instance.existing_grid[g, e, :].sum())
+            total += existing
+            if existing > instance.grid_cap_limit(comp, edge.id) + 1e-9:
+                raise StructurallyInfeasibleError(
+                    f"component {comp.id!r}: existing capacity on edge {edge.id!r} exceeds its limit"
+                )
+        if comp.system_capacity_limit is not None and total > comp.system_capacity_limit + 1e-9:
+            raise StructurallyInfeasibleError(
+                f"component {comp.id!r}: existing grid capacity exceeds the system-wide limit"
+            )
 
 
 @dataclass(frozen=True)
@@ -166,18 +257,11 @@ def _usable_existing_output(instance: EnergySystemInstance,
     return out
 
 
-def secured_gaps(instance: EnergySystemInstance, assignment: ClusterAssignment,
-                 merit: MeritOrderTable) -> SecuredCapacityGap:
-    """Firm-capacity and peak-demand shortfalls per node.
-
-    firm_shortfall is left unclamped so callers can see surpluses; rows built
-    from it clamp at zero.  peak_shortfall already carries its outer clamp.
-    """
+def _firm_shortfall(instance: EnergySystemInstance) -> np.ndarray:
+    """(product, node): secured nodal floor minus the firm output of existing units."""
     theta = instance.ratio_matrix()
     prods = instance.production_components
     firm = np.zeros((instance.n_products, instance.n_nodes))
-    peak = np.zeros((instance.n_products, instance.n_nodes))
-    usable = _usable_existing_output(instance, merit)
     for b, product in enumerate(instance.products):
         floors = product.secured_capacity_nodal
         for n in range(instance.n_nodes):
@@ -186,10 +270,22 @@ def secured_gaps(instance: EnergySystemInstance, assignment: ClusterAssignment,
                        * float(instance.existing_production[c, n, :].sum())
                        for c in range(len(prods)) if theta[b, c] > 0.0)
             firm[b, n] = floor - held
-        if product.transportable:
-            continue
-        peak[b] = np.maximum(instance.demand[b] - usable[b], 0.0).max(axis=1)
-    return SecuredCapacityGap(firm_shortfall=firm, peak_shortfall=peak)
+    return firm
+
+
+def secured_gaps(instance: EnergySystemInstance, assignment: ClusterAssignment,
+                 merit: MeritOrderTable) -> SecuredCapacityGap:
+    """Firm-capacity and peak-demand shortfalls per node.
+
+    firm_shortfall is left unclamped so callers can see surpluses; rows built
+    from it clamp at zero.  peak_shortfall already carries its outer clamp.
+    """
+    peak = np.zeros((instance.n_products, instance.n_nodes))
+    usable = _usable_existing_output(instance, merit)
+    for b, product in enumerate(instance.products):
+        if not product.transportable:
+            peak[b] = np.maximum(instance.demand[b] - usable[b], 0.0).max(axis=1)
+    return SecuredCapacityGap(firm_shortfall=_firm_shortfall(instance), peak_shortfall=peak)
 
 
 def build_lb_lp(instance: EnergySystemInstance,
@@ -212,21 +308,31 @@ def build_ub_lp(instance: EnergySystemInstance,
 
 
 class _AggregatedBuilder:
-    """Shared construction of the two aggregated LPs.
+    """Shared construction of the two aggregated LPs and of the full LP.
 
     The skeleton (capacity, production, imports, external transport, balance
     and limit rows) is common; the bound kind decides availability semantics,
     whether internal edges exist at all, and the extra upper-bound guards.
+    ``assignment=None`` stands for the identity partition with every region
+    keyed by its node id: the lower-bound build of it is the full LP.
     """
 
-    def __init__(self, instance: EnergySystemInstance, assignment: ClusterAssignment,
+    def __init__(self, instance: EnergySystemInstance, assignment: ClusterAssignment | None,
                  bound_kind: str, loss_model: str = COMPOUND_LOSSES):
         check_reachability(instance)
         check_existing_within_limits(instance)
-        if split_disconnected(instance, assignment) != assignment:
-            raise ValueError("cluster assignment must be connectivity-split first")
-        if loss_model not in (COMPOUND_LOSSES, ADDITIVE_LOSSES):
+        if loss_model not in LOSS_MODELS:
             raise ValueError(f"unknown loss model {loss_model!r}")
+        # region keys and the names of the two per-region floor rows
+        if assignment is None:  # singletons are connected, no split check needed
+            assignment = assignment_from_labels(instance, np.arange(instance.n_nodes))
+            self.label = {a: node.id for a, node in enumerate(instance.nodes)}
+            self.balance_row, self.secured_row = "nodal", "secnod"
+        elif split_disconnected(instance, assignment) != assignment:
+            raise ValueError("cluster assignment must be connectivity-split first")
+        else:
+            self.label = {a: a for a in assignment.clusters}
+            self.balance_row, self.secured_row = "clbal", "secagg"
         self.inst = instance
         self.assign = assignment
         self.kind = bound_kind
@@ -236,17 +342,20 @@ class _AggregatedBuilder:
         self.weights = np.array([ts.weight for ts in instance.time_steps])
         self.cluster_ids = tuple(sorted(assignment.clusters))
         self.members = _member_positions(instance, assignment)
-        self.cluster_of_pos = np.array(
-            [assignment.cluster_of[node.id] for node in instance.nodes])
+        self.cluster_of_pos = [assignment.cluster_of[node.id] for node in instance.nodes]
         self.internal: dict[int, list[int]] = {a: [] for a in self.cluster_ids}
         self.external: list[int] = []
+        # external edges at each cluster, +1 where the cluster holds the a-end
+        self.boundary: dict[int, list[tuple[int, float]]] = {a: [] for a in self.cluster_ids}
         for e in range(instance.n_edges):
             u, v = instance.edge_endpoints(e)
-            ca, cb = int(self.cluster_of_pos[u]), int(self.cluster_of_pos[v])
+            ca, cb = self.cluster_of_pos[u], self.cluster_of_pos[v]
             if ca == cb:
                 self.internal[ca].append(e)
             else:
                 self.external.append(e)
+                self.boundary[ca].append((e, 1.0))
+                self.boundary[cb].append((e, -1.0))
         self.singletons = all(len(m) == 1 for m in assignment.clusters.values())
         self.dc_coupling = bound_kind == UPPER or self.singletons
         # grid components carrying each product, with their conversion ratio
@@ -254,9 +363,13 @@ class _AggregatedBuilder:
         for g, comp in enumerate(instance.grid_components):
             pb, ratio = instance.grid_product(comp)
             self.carriers.setdefault(pb, []).append((g, ratio))
-        self.merit = merit_order(instance, assignment)
-        self.gaps = secured_gaps(instance, assignment, self.merit)
-        self.usable = _usable_existing_output(instance, self.merit)
+        if bound_kind == UPPER:
+            self.merit = merit_order(instance, assignment)
+            self.gaps = secured_gaps(instance, assignment, self.merit)
+            self.usable = _usable_existing_output(instance, self.merit)
+            self.firm_shortfall = self.gaps.firm_shortfall
+        else:  # the relaxation reads none of the merit order
+            self.firm_shortfall = _firm_shortfall(instance)
         # transportable products whose internal flows the restriction must guard
         self.guarded = {b for b, p in enumerate(instance.products)
                         if p.transportable and self.carriers.get(b)}
@@ -283,10 +396,6 @@ class _AggregatedBuilder:
         if self.kind == LOWER:
             return list(self.external)  # internal transport is free, nothing to expand
         return list(range(self.inst.n_edges))
-
-    def _edge_direction(self, edge_pos: int, a: int) -> float:
-        u, _ = self.inst.edge_endpoints(edge_pos)
-        return 1.0 if int(self.cluster_of_pos[u]) == a else -1.0
 
     def _flow_terms(self, comp, edge_id: str, ts_id: str) -> list[tuple[int, float]]:
         if comp.transport_mode == TRANSSHIPMENT:
@@ -320,7 +429,7 @@ class _AggregatedBuilder:
     # -- variables -----------------------------------------------------------
 
     def _add_variables(self) -> None:
-        inst, lp, agg = self.inst, self.lp, self.agg
+        inst, lp, agg, lab = self.inst, self.lp, self.agg, self.label
         y_now = inst.n_prior_years
         lp.objective_constant = inst.existing_capex()
         for c, comp in enumerate(inst.production_components):
@@ -329,7 +438,7 @@ class _AggregatedBuilder:
                 held = float(agg.existing_production[c, a, :].sum())
                 limit = agg.capacity_limits[c, a]
                 ub = limit - held if math.isfinite(limit) else math.inf
-                lp.add_variable(("cap", comp.id, a), lb=0.0, ub=max(ub, 0.0), obj=annual)
+                lp.add_variable(("cap", comp.id, lab[a]), lb=0.0, ub=max(ub, 0.0), obj=annual)
         for g, comp in enumerate(inst.grid_components):
             annual = inst.annualized_invest(comp, y_now)
             for e in self._grid_edge_positions():
@@ -342,7 +451,7 @@ class _AggregatedBuilder:
         for c, comp in enumerate(inst.production_components):
             for a in self.cluster_ids:
                 for t, ts in enumerate(inst.time_steps):
-                    lp.add_variable(("prod", comp.id, a, ts.id),
+                    lp.add_variable(("prod", comp.id, lab[a], ts.id),
                                     obj=comp.op_cost * self.weights[t])
         for b, product in enumerate(inst.products):
             for t, ts in enumerate(inst.time_steps):
@@ -362,36 +471,29 @@ class _AggregatedBuilder:
                         lp.add_variable(("flow", comp.id, inst.edges[e].id, ts.id),
                                         lb=-math.inf, ub=math.inf)
                 if self.dc_coupling:
-                    touched = sorted({a for e in self.external
-                                      for a in (int(self.cluster_of_pos[p])
-                                                for p in inst.edge_endpoints(e))})
-                    pin = touched[0] if touched else None
-                    for a in touched:
-                        bound = 0.0 if a == pin else math.inf
+                    touched = [a for a in self.cluster_ids if self.boundary[a]]
+                    for a in touched:  # one pinned reference angle removes the null space
+                        lo, hi = (0.0, 0.0) if a == touched[0] else (-math.inf, math.inf)
                         for ts in inst.time_steps:
-                            lp.add_variable(("ang", comp.id, a, ts.id),
-                                            lb=-bound, ub=bound)
+                            lp.add_variable(("ang", comp.id, lab[a], ts.id), lb=lo, ub=hi)
         if self.kind == UPPER:
             self._add_upper_bound_variables()
 
     def _add_upper_bound_variables(self) -> None:
-        inst, lp = self.inst, self.lp
+        inst, lp, lab = self.inst, self.lp, self.label
         for b in sorted(self.guarded):
             product = inst.products[b]
             for a in self.cluster_ids:
                 if not self.internal[a]:
                     continue
-                lp.add_variable(("mflow", product.id, a))
+                lp.add_variable(("mflow", product.id, lab[a]))
                 for ts in inst.time_steps:
-                    lp.add_variable(("fmax", product.id, a, ts.id))
+                    lp.add_variable(("fmax", product.id, lab[a], ts.id))
                 for g, _ in self.carriers[b]:
                     comp = inst.grid_components[g]
-                    for e in self.external:
-                        if a not in (int(self.cluster_of_pos[p])
-                                     for p in inst.edge_endpoints(e)):
-                            continue
+                    for e, _ in self.boundary[a]:
                         for ts in inst.time_steps:
-                            lp.add_variable(("epos", comp.id, inst.edges[e].id, a, ts.id))
+                            lp.add_variable(("epos", comp.id, inst.edges[e].id, lab[a], ts.id))
         for b, product in enumerate(inst.products):
             if product.transportable:
                 continue
@@ -408,16 +510,16 @@ class _AggregatedBuilder:
     # -- shared rows -----------------------------------------------------------
 
     def _add_balance_rows(self) -> None:
-        inst, lp, agg = self.inst, self.lp, self.agg
+        inst, lp, agg, lab = self.inst, self.lp, self.agg, self.label
 
         for c, comp in enumerate(inst.production_components):
             for a in self.cluster_ids:
                 held = float(agg.existing_production[c, a, :].sum())
-                cap_col = lp.var_index(("cap", comp.id, a))
+                cap_col = lp.var_index(("cap", comp.id, lab[a]))
                 for t, ts in enumerate(inst.time_steps):
                     alpha = float(agg.availability[c, a, t])
-                    lp.add_constraint(("avail", comp.id, a, ts.id),
-                                      [(lp.var_index(("prod", comp.id, a, ts.id)), 1.0),
+                    lp.add_constraint(("avail", comp.id, lab[a], ts.id),
+                                      [(lp.var_index(("prod", comp.id, lab[a], ts.id)), 1.0),
                                        (cap_col, -alpha)], LE, alpha * held)
 
         for b, product in enumerate(inst.products):
@@ -429,11 +531,11 @@ class _AggregatedBuilder:
                     if ratio == 0.0:
                         continue
                     for a in self.cluster_ids:
-                        coeffs.append((lp.var_index(("prod", comp.id, a, ts.id)), ratio))
+                        coeffs.append((lp.var_index(("prod", comp.id, lab[a], ts.id)), ratio))
                 coeffs.append((lp.var_index(("imp", product.id, ts.id)), 1.0))
-                for comp in inst.grid_components:
-                    pb, ratio = inst.grid_product(comp)
-                    if pb != b or comp.transport_mode != TRANSSHIPMENT:
+                for g, ratio in self.carriers.get(b, ()):
+                    comp = inst.grid_components[g]
+                    if comp.transport_mode != TRANSSHIPMENT:
                         continue
                     for e in self.external:
                         loss = ratio * (1.0 - comp.grid_efficiency) * inst.edges[e].length
@@ -449,7 +551,7 @@ class _AggregatedBuilder:
                         fraction = self._loss_fraction(b, a)
                         if fraction > 0.0:
                             coeffs.append(
-                                (lp.var_index(("fmax", product.id, a, ts.id)), -fraction))
+                                (lp.var_index(("fmax", product.id, lab[a], ts.id)), -fraction))
                 lp.add_constraint(("sysbal", product.id, ts.id), coeffs, EQ,
                                   float(agg.demand[b, :, t].sum()))
 
@@ -461,41 +563,32 @@ class _AggregatedBuilder:
                     for c, comp in enumerate(inst.production_components):
                         ratio = self.theta[b, c]
                         if ratio != 0.0:
-                            coeffs.append((lp.var_index(("prod", comp.id, a, ts.id)), ratio))
+                            coeffs.append((lp.var_index(("prod", comp.id, lab[a], ts.id)), ratio))
                     if product.transportable:
-                        for comp in inst.grid_components:
-                            pb, ratio = inst.grid_product(comp)
-                            if pb != b:
-                                continue
-                            for e in self.external:
-                                u, v = inst.edge_endpoints(e)
-                                if int(self.cluster_of_pos[u]) == a:
-                                    dirn = 1.0
-                                elif int(self.cluster_of_pos[v]) == a:
-                                    dirn = -1.0
-                                else:
-                                    continue
+                        for g, ratio in self.carriers.get(b, ()):
+                            comp = inst.grid_components[g]
+                            for e, dirn in self.boundary[a]:
                                 for col, sign in self._flow_terms(comp, inst.edges[e].id, ts.id):
                                     coeffs.append((col, -ratio * dirn * sign))
                     if machinery and self.internal[a]:
                         fraction = self._loss_fraction(b, a)
                         if fraction > 0.0:
                             coeffs.append(
-                                (lp.var_index(("fmax", product.id, a, ts.id)), -fraction))
+                                (lp.var_index(("fmax", product.id, lab[a], ts.id)), -fraction))
                     rhs = float(agg.demand[b, a, t])
                     if rhs <= 0.0 and all(value >= 0.0 for _, value in coeffs):
                         continue  # vacuous row
-                    lp.add_constraint(("clbal", product.id, a, ts.id), coeffs, GE, rhs)
+                    lp.add_constraint((self.balance_row, product.id, lab[a], ts.id),
+                                      coeffs, GE, rhs)
 
     def _add_transport_rows(self) -> None:
-        inst, lp = self.inst, self.lp
+        inst, lp, lab, cluster_of = self.inst, self.lp, self.label, self.cluster_of_pos
         dc_groups: dict[tuple[int, frozenset[int]], list[int]] = {}
         for g, comp in enumerate(inst.grid_components):
             if comp.transport_mode == TRANSSHIPMENT:
                 continue
             for e in self.external:
-                pair = frozenset(int(self.cluster_of_pos[p])
-                                 for p in inst.edge_endpoints(e))
+                pair = frozenset(cluster_of[p] for p in inst.edge_endpoints(e))
                 dc_groups.setdefault((g, pair), []).append(e)
 
         for g, comp in enumerate(inst.grid_components):
@@ -515,9 +608,7 @@ class _AggregatedBuilder:
                     if self.kind == UPPER:
                         # parallel lines between the same cluster pair share
                         # their combined capacity, removing flow inhibition
-                        pair = frozenset((int(self.cluster_of_pos[u]),
-                                          int(self.cluster_of_pos[v])))
-                        group = dc_groups[(g, pair)]
+                        group = dc_groups[(g, frozenset((cluster_of[u], cluster_of[v])))]
                         caps = [(lp.var_index(("gcap", comp.id, inst.edges[o].id)), -1.0)
                                 for o in group]
                         pooled = sum(float(inst.existing_grid[g, o, :].sum()) for o in group)
@@ -530,15 +621,13 @@ class _AggregatedBuilder:
                                       [(flow, -1.0)] + caps, LE, pooled)
                     if self.dc_coupling:
                         s = comp.susceptance_per_line
-                        ang_u = lp.var_index(("ang", comp.id,
-                                              int(self.cluster_of_pos[u]), ts.id))
-                        ang_v = lp.var_index(("ang", comp.id,
-                                              int(self.cluster_of_pos[v]), ts.id))
+                        ang_u = lp.var_index(("ang", comp.id, lab[cluster_of[u]], ts.id))
+                        ang_v = lp.var_index(("ang", comp.id, lab[cluster_of[v]], ts.id))
                         lp.add_constraint(("dc", comp.id, edge.id, ts.id),
                                           [(flow, 1.0), (ang_u, -s), (ang_v, s)], EQ, 0.0)
 
     def _add_secured_rows(self) -> None:
-        inst, lp = self.inst, self.lp
+        inst, lp, lab = self.inst, self.lp, self.label
         for b, product in enumerate(inst.products):
             firm_terms: list[tuple[int, float]] = []
             firm_existing = 0.0
@@ -547,7 +636,7 @@ class _AggregatedBuilder:
                 if ratio <= 0.0 or comp.capacity_factor == 0.0:
                     continue
                 for a in self.cluster_ids:
-                    firm_terms.append((lp.var_index(("cap", comp.id, a)),
+                    firm_terms.append((lp.var_index(("cap", comp.id, lab[a])),
                                        comp.capacity_factor * ratio))
                     firm_existing += (comp.capacity_factor * ratio
                                       * float(self.agg.existing_production[c, a, :].sum()))
@@ -557,14 +646,15 @@ class _AggregatedBuilder:
             if product.transportable:
                 continue
             for a in self.cluster_ids:
-                needed = sum(max(0.0, float(self.gaps.firm_shortfall[b, n]))
+                needed = sum(max(0.0, float(self.firm_shortfall[b, n]))
                              for n in self.members[a])
                 if needed <= 0.0:
                     continue
-                terms = [(lp.var_index(("cap", comp.id, a)), comp.capacity_factor * self.theta[b, c])
+                terms = [(lp.var_index(("cap", comp.id, lab[a])),
+                          comp.capacity_factor * self.theta[b, c])
                          for c, comp in enumerate(inst.production_components)
                          if self.theta[b, c] > 0.0 and comp.capacity_factor > 0.0]
-                lp.add_constraint(("secagg", product.id, a), terms, GE, needed)
+                lp.add_constraint((self.secured_row, product.id, lab[a]), terms, GE, needed)
 
     def _add_system_limit_rows(self) -> None:
         inst, lp = self.inst, self.lp
@@ -572,7 +662,8 @@ class _AggregatedBuilder:
             if comp.system_capacity_limit is None:
                 continue
             held = float(inst.existing_production[c].sum())
-            terms = [(lp.var_index(("cap", comp.id, a)), 1.0) for a in self.cluster_ids]
+            terms = [(lp.var_index(("cap", comp.id, self.label[a])), 1.0)
+                     for a in self.cluster_ids]
             lp.add_constraint(("syscap", comp.id), terms, LE,
                               comp.system_capacity_limit - held)
         for g, comp in enumerate(inst.grid_components):
@@ -594,7 +685,7 @@ class _AggregatedBuilder:
                 continue
             for a in self.cluster_ids:
                 for t, ts in enumerate(inst.time_steps):
-                    coeffs.append((lp.var_index(("prod", comp.id, a, ts.id)),
+                    coeffs.append((lp.var_index(("prod", comp.id, self.label[a], ts.id)),
                                    comp.op_emission * self.weights[t]))
         lp.add_constraint(("ghg",), coeffs, LE, inst.ghg_limit)
 
@@ -602,7 +693,7 @@ class _AggregatedBuilder:
 
     def _add_flow_concentration_rows(self) -> None:
         """Peak internal flow, worst-case losses, and forced reinforcement."""
-        inst, lp, agg = self.inst, self.lp, self.agg
+        inst, lp, agg, lab = self.inst, self.lp, self.agg, self.label
         for b in sorted(self.guarded):
             product = inst.products[b]
             consumers = [c for c in range(len(inst.production_components))
@@ -610,33 +701,29 @@ class _AggregatedBuilder:
             for a in self.cluster_ids:
                 if not self.internal[a]:
                     continue
-                mflow = lp.var_index(("mflow", product.id, a))
+                mflow = lp.var_index(("mflow", product.id, lab[a]))
                 for t, ts in enumerate(inst.time_steps):
-                    fmax = lp.var_index(("fmax", product.id, a, ts.id))
+                    fmax = lp.var_index(("fmax", product.id, lab[a], ts.id))
                     coeffs = [(fmax, 1.0)]
                     for c in consumers:
                         comp = inst.production_components[c]
-                        coeffs.append((lp.var_index(("prod", comp.id, a, ts.id)),
+                        coeffs.append((lp.var_index(("prod", comp.id, lab[a], ts.id)),
                                        self.theta[b, c]))
                     for g, ratio in self.carriers[b]:
                         comp = inst.grid_components[g]
-                        for e in self.external:
-                            if a not in (int(self.cluster_of_pos[p])
-                                         for p in inst.edge_endpoints(e)):
-                                continue
-                            dirn = self._edge_direction(e, a)
+                        for e, dirn in self.boundary[a]:
                             eid = inst.edges[e].id
-                            epos = lp.var_index(("epos", comp.id, eid, a, ts.id))
+                            epos = lp.var_index(("epos", comp.id, eid, lab[a], ts.id))
                             coeffs.append((epos, -1.0))
                             terms = [(col, ratio * dirn * sign)
                                      for col, sign in self._flow_terms(comp, eid, ts.id)]
-                            lp.add_constraint(("eposdef", comp.id, eid, a, ts.id),
+                            lp.add_constraint(("eposdef", comp.id, eid, lab[a], ts.id),
                                               [(epos, 1.0)] + [(col, -val)
                                                                for col, val in terms],
                                               GE, 0.0)
-                    lp.add_constraint(("fmaxdef", product.id, a, ts.id), coeffs, GE,
+                    lp.add_constraint(("fmaxdef", product.id, lab[a], ts.id), coeffs, GE,
                                       float(agg.demand[b, a, t]))
-                    lp.add_constraint(("mpeak", product.id, a, ts.id),
+                    lp.add_constraint(("mpeak", product.id, lab[a], ts.id),
                                       [(mflow, 1.0), (fmax, -1.0)], GE, 0.0)
                 for e in self.internal[a]:
                     held = self._internal_existing(b, e)
@@ -648,7 +735,7 @@ class _AggregatedBuilder:
 
     def _add_merit_rows(self) -> None:
         """Existing units in multi-node clusters run only up to their usable share."""
-        inst, lp, agg = self.inst, self.lp, self.agg
+        inst, lp, agg, lab = self.inst, self.lp, self.agg, self.label
         for c, comp in enumerate(inst.production_components):
             if not self._serves_local_product(c):
                 continue
@@ -656,20 +743,20 @@ class _AggregatedBuilder:
                 pos = self.members[a]
                 if len(pos) < 2:
                     continue
-                cap_col = lp.var_index(("cap", comp.id, a))
+                cap_col = lp.var_index(("cap", comp.id, lab[a]))
                 for t, ts in enumerate(inst.time_steps):
                     usable = sum(float(self.merit.usable_share[c, n, t])
                                  * float(inst.availability[c, n, t])
                                  * float(inst.existing_production[c, n, :].sum())
                                  for n in pos)
                     alpha = float(agg.availability[c, a, t])
-                    lp.add_constraint(("merit", comp.id, a, ts.id),
-                                      [(lp.var_index(("prod", comp.id, a, ts.id)), 1.0),
+                    lp.add_constraint(("merit", comp.id, lab[a], ts.id),
+                                      [(lp.var_index(("prod", comp.id, lab[a], ts.id)), 1.0),
                                        (cap_col, -alpha)], LE, usable)
 
     def _add_expansion_need_rows(self) -> None:
         """Every node's residual need must be buildable inside its own cluster."""
-        inst, lp = self.inst, self.lp
+        inst, lp, lab = self.inst, self.lp, self.label
         for b, product in enumerate(inst.products):
             if product.transportable:
                 continue
@@ -690,7 +777,7 @@ class _AggregatedBuilder:
                         coeffs = [(need, 1.0)]
                         for c in consumers:
                             comp = inst.production_components[c]
-                            coeffs.append((lp.var_index(("prod", comp.id, a, ts.id)),
+                            coeffs.append((lp.var_index(("prod", comp.id, lab[a], ts.id)),
                                            scale * self.theta[b, c]))
                         lp.add_constraint(("peakneed", product.id, node.id, ts.id),
                                           coeffs, GE, rhs)
@@ -702,10 +789,10 @@ class _AggregatedBuilder:
                     firm = min(comp.capacity_factor,
                                float(self.agg.availability[c, a, :].min()))
                     if firm > 0.0:
-                        terms.append((lp.var_index(("cap", comp.id, a)), firm * ratio))
+                        terms.append((lp.var_index(("cap", comp.id, lab[a])), firm * ratio))
                 needs = [(lp.var_index(("need", product.id, inst.nodes[n].id)), -1.0)
                          for n in pos]
-                lp.add_constraint(("newcap", product.id, a), terms + needs, GE, 0.0)
+                lp.add_constraint(("newcap", product.id, lab[a]), terms + needs, GE, 0.0)
 
 
 @dataclass

@@ -114,7 +114,8 @@ def _cluster_instance(
     members = assignment.clusters[cluster]
     positions = np.array([instance.node_index(m) for m in members])
     local_of = {m: i for i, m in enumerate(members)}
-    internal = [e for e in instance.edges if e.id in set(assignment.internal_edges[cluster])]
+    internal_ids = set(assignment.internal_edges[cluster])
+    internal = [e for e in instance.edges if e.id in internal_ids]
     edge_positions = np.array([instance.edge_index(e.id) for e in internal], dtype=int)
 
     demand = instance.demand[:, positions, :].copy()

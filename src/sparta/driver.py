@@ -14,12 +14,13 @@ from dataclasses import dataclass
 from . import simplex
 from .bounds import (
     COMPOUND_LOSSES,
+    LOSS_MODELS,
     AggregatedSolution,
     build_lb_lp,
     build_ub_lp,
     extract_aggregated_solution,
 )
-from .clustering import ClusterAssignment, cluster_nodes, split_disconnected
+from .clustering import METHODS, ClusterAssignment, cluster_nodes, split_disconnected
 from .lp import (
     INFEASIBLE,
     UNBOUNDED,
@@ -60,6 +61,12 @@ class SpArtaConfig:
             raise ValueError("the starting resolution is two clusters or more")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        if not 0.0 < self.solver_tolerance < math.inf:
+            raise ValueError("solver_tolerance must be positive and finite")
+        if self.loss_model not in LOSS_MODELS:
+            raise ValueError(f"unknown loss model {self.loss_model!r}")
+        if self.cluster_method not in METHODS:
+            raise ValueError(f"unknown clustering method {self.cluster_method!r}")
         self.fixed_step()
 
     def fixed_step(self) -> int | None:

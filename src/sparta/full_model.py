@@ -4,106 +4,24 @@ Decision variables are the current-year capacity additions, per-time-step
 production levels, imports, and transport: a nonnegative directed flow pair
 for transshipment components (losses charge on the pair's sum, so reverse
 flows cannot fabricate energy) and a signed flow plus nodal voltage angles
-for DC components.  The builder doubles as the restricted re-solves used
-later in the pipeline: fixing both capacity dictionaries yields the
-operational check, fixing only the converter side yields the network
-optimization.
+for DC components.
+
+There is no second formulation here: the full LP is the aggregated lower
+bound of :mod:`sparta.bounds` at the identity partition, where every node is
+its own cluster and internal transport no longer exists, built with node ids
+in its keys.  The builder doubles as the restricted re-solves used later in
+the pipeline: fixing both capacity dictionaries yields the operational check,
+fixing only the converter side yields the network optimization.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Mapping
 
-import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-
-from .lp import LE, GE, EQ, LinearProgram, StructurallyInfeasibleError
-from .model import DC, TRANSSHIPMENT, Component, EnergySystemInstance
-
-
-def _possible_producers(instance: EnergySystemInstance, theta: np.ndarray, b: int) -> np.ndarray:
-    """Boolean mask over nodes where product ``b`` could ever be generated."""
-    mask = np.zeros(instance.n_nodes, dtype=bool)
-    for c, comp in enumerate(instance.production_components):
-        if theta[b, c] <= 0.0:
-            continue
-        for n, node in enumerate(instance.nodes):
-            if mask[n]:
-                continue
-            existing = float(instance.existing_production[c, n, :].sum())
-            if existing > 0.0 or instance.production_cap_limit(comp, node.id) > 0.0:
-                mask[n] = True
-    return mask
-
-
-def check_reachability(instance: EnergySystemInstance) -> None:
-    """Reject demand that no producer or grid path could ever serve."""
-    theta = instance.ratio_matrix()
-    carried = {b for g in instance.grid_components for b in [instance.grid_product(g)[0]]}
-    n_nodes = instance.n_nodes
-    if instance.edges:
-        rows = [instance.edge_endpoints(e)[0] for e in range(instance.n_edges)]
-        cols = [instance.edge_endpoints(e)[1] for e in range(instance.n_edges)]
-        adj = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n_nodes, n_nodes))
-        _, labels = connected_components(adj, directed=False)
-    else:
-        labels = np.arange(n_nodes)
-
-    problems: list[str] = []
-    for b, product in enumerate(instance.products):
-        demand_nodes = np.flatnonzero(instance.demand[b].max(axis=1) > 0.0)
-        if demand_nodes.size == 0:
-            continue
-        producers = _possible_producers(instance, theta, b)
-        if product.transportable and b in carried:
-            reachable_labels = {labels[n] for n in np.flatnonzero(producers)}
-            for n in demand_nodes:
-                if labels[n] not in reachable_labels:
-                    problems.append(
-                        f"product {product.id!r}: demand at node {instance.nodes[n].id!r} "
-                        "has no producer in its connected region"
-                    )
-        else:
-            for n in demand_nodes:
-                if not producers[n]:
-                    problems.append(
-                        f"product {product.id!r}: demand at node {instance.nodes[n].id!r} "
-                        "has no local producer and no grid carries the product"
-                    )
-    if problems:
-        raise StructurallyInfeasibleError("; ".join(problems))
-
-
-def check_existing_within_limits(instance: EnergySystemInstance) -> None:
-    """Reject legacy capacity that already violates an expansion limit."""
-    for c, comp in enumerate(instance.production_components):
-        total = 0.0
-        for n, node in enumerate(instance.nodes):
-            existing = float(instance.existing_production[c, n, :].sum())
-            total += existing
-            if existing > instance.production_cap_limit(comp, node.id) + 1e-9:
-                raise StructurallyInfeasibleError(
-                    f"component {comp.id!r}: existing capacity at {node.id!r} exceeds its nodal limit"
-                )
-        if comp.system_capacity_limit is not None and total > comp.system_capacity_limit + 1e-9:
-            raise StructurallyInfeasibleError(
-                f"component {comp.id!r}: existing capacity exceeds the system-wide limit"
-            )
-    for g, comp in enumerate(instance.grid_components):
-        total = 0.0
-        for e, edge in enumerate(instance.edges):
-            existing = float(instance.existing_grid[g, e, :].sum())
-            total += existing
-            if existing > instance.grid_cap_limit(comp, edge.id) + 1e-9:
-                raise StructurallyInfeasibleError(
-                    f"component {comp.id!r}: existing capacity on edge {edge.id!r} exceeds its limit"
-                )
-        if comp.system_capacity_limit is not None and total > comp.system_capacity_limit + 1e-9:
-            raise StructurallyInfeasibleError(
-                f"component {comp.id!r}: existing grid capacity exceeds the system-wide limit"
-            )
+from .bounds import LOWER, _AggregatedBuilder
+from .bounds import check_existing_within_limits, check_reachability  # noqa: F401 (re-exported)
+from .lp import LinearProgram
+from .model import EnergySystemInstance
 
 
 def build_full_lp(
@@ -119,249 +37,10 @@ def build_full_lp(
     addition; ``fix_grid`` does the same for (component id, edge id).  Unknown
     keys are rejected so a typo cannot silently leave a variable free.
     """
-    check_reachability(instance)
-    check_existing_within_limits(instance)
-    fix_production = dict(fix_production or {})
-    fix_grid = dict(fix_grid or {})
-    for (cid, nid) in fix_production:
-        instance.production_index(cid)
-        instance.node_index(nid)
-    for (cid, eid) in fix_grid:
-        instance.grid_index(cid)
-        instance.edge_index(eid)
-
-    theta = instance.ratio_matrix()
-    weights = np.array([ts.weight for ts in instance.time_steps])
-    y_now = instance.n_prior_years  # position of the decision year
-
-    lp = LinearProgram(name=name)
-    lp.meta["kind"] = "full"
-    lp.objective_constant = instance.existing_capex()
-
-    # capacity additions (current year)
-    for c, comp in enumerate(instance.production_components):
-        annual = instance.annualized_invest(comp, y_now)
-        for n, node in enumerate(instance.nodes):
-            existing = float(instance.existing_production[c, n, :].sum())
-            frozen = fix_production.get((comp.id, node.id))
-            if frozen is not None:
-                lp.add_variable(("cap", comp.id, node.id), lb=frozen, ub=frozen, obj=annual)
-                continue
-            limit = instance.production_cap_limit(comp, node.id)
-            ub = limit - existing if math.isfinite(limit) else math.inf
-            lp.add_variable(("cap", comp.id, node.id), lb=0.0, ub=max(ub, 0.0), obj=annual)
-    for g, comp in enumerate(instance.grid_components):
-        annual = instance.annualized_invest(comp, y_now)
-        for e, edge in enumerate(instance.edges):
-            existing = float(instance.existing_grid[g, e, :].sum())
-            frozen = fix_grid.get((comp.id, edge.id))
-            if frozen is not None:
-                lp.add_variable(("gcap", comp.id, edge.id), lb=frozen, ub=frozen,
-                                obj=annual * edge.length)
-                continue
-            limit = instance.grid_cap_limit(comp, edge.id)
-            ub = limit - existing if math.isfinite(limit) else math.inf
-            lp.add_variable(("gcap", comp.id, edge.id), lb=0.0, ub=max(ub, 0.0),
-                            obj=annual * edge.length)
-
-    # production, imports, transport
-    for c, comp in enumerate(instance.production_components):
-        for n, node in enumerate(instance.nodes):
-            for t, ts in enumerate(instance.time_steps):
-                lp.add_variable(("prod", comp.id, node.id, ts.id), obj=comp.op_cost * weights[t])
-    for b, product in enumerate(instance.products):
-        for t, ts in enumerate(instance.time_steps):
-            cost = float(product.import_cost[t]) * weights[t] if product.import_allowed else 0.0
-            lp.add_variable(("imp", product.id, ts.id),
-                            ub=math.inf if product.import_allowed else 0.0, obj=cost)
-    for g, comp in enumerate(instance.grid_components):
-        if comp.transport_mode == TRANSSHIPMENT:
-            for e, edge in enumerate(instance.edges):
-                for ts in instance.time_steps:
-                    lp.add_variable(("fp", comp.id, edge.id, ts.id))
-                    lp.add_variable(("fm", comp.id, edge.id, ts.id))
-        else:
-            touched: set[int] = set()
-            for e in range(instance.n_edges):
-                u, v = instance.edge_endpoints(e)
-                touched.update((u, v))
-            for e, edge in enumerate(instance.edges):
-                for ts in instance.time_steps:
-                    lp.add_variable(("flow", comp.id, edge.id, ts.id), lb=-math.inf, ub=math.inf)
-            pin = min(touched, default=-1)  # one reference angle removes the null space
-            for n in sorted(touched):
-                for ts in instance.time_steps:
-                    if n == pin:
-                        lp.add_variable(("ang", comp.id, instance.nodes[n].id, ts.id), lb=0.0, ub=0.0)
-                    else:
-                        lp.add_variable(("ang", comp.id, instance.nodes[n].id, ts.id),
-                                        lb=-math.inf, ub=math.inf)
-
-    _add_operation_rows(instance, lp, theta, weights)
-    _add_capacity_rows(instance, lp, theta)
+    lp = _AggregatedBuilder(instance, None, LOWER).build()
+    lp.name = name
+    lp.meta = {"kind": "full"}
+    for kind, frozen in (("cap", fix_production), ("gcap", fix_grid)):
+        for (cid, where), value in (frozen or {}).items():
+            lp.set_variable_bounds((kind, cid, where), lb=value, ub=value)
     return lp
-
-
-def _flow_terms(instance: EnergySystemInstance, lp: LinearProgram, comp: Component,
-                edge_pos: int, ts_id: str) -> list[tuple[int, float]]:
-    """Net flow through an edge as (column, +1/-1) terms, oriented a -> b."""
-    edge = instance.edges[edge_pos]
-    if comp.transport_mode == TRANSSHIPMENT:
-        return [
-            (lp.var_index(("fp", comp.id, edge.id, ts_id)), 1.0),
-            (lp.var_index(("fm", comp.id, edge.id, ts_id)), -1.0),
-        ]
-    return [(lp.var_index(("flow", comp.id, edge.id, ts_id)), 1.0)]
-
-
-def _add_operation_rows(instance, lp, theta, weights) -> None:
-    # availability: production below the profile-scaled capacity of all years
-    for c, comp in enumerate(instance.production_components):
-        for n, node in enumerate(instance.nodes):
-            existing = float(instance.existing_production[c, n, :].sum())
-            cap_col = lp.var_index(("cap", comp.id, node.id))
-            for t, ts in enumerate(instance.time_steps):
-                alpha = float(instance.availability[c, n, t])
-                prod_col = lp.var_index(("prod", comp.id, node.id, ts.id))
-                lp.add_constraint(("avail", comp.id, node.id, ts.id),
-                                  [(prod_col, 1.0), (cap_col, -alpha)], LE, alpha * existing)
-
-    # system balance with transport losses (transshipment only)
-    for b, product in enumerate(instance.products):
-        for t, ts in enumerate(instance.time_steps):
-            coeffs: list[tuple[int, float]] = []
-            for c, comp in enumerate(instance.production_components):
-                ratio = theta[b, c]
-                if ratio == 0.0:
-                    continue
-                for node in instance.nodes:
-                    coeffs.append((lp.var_index(("prod", comp.id, node.id, ts.id)), ratio))
-            coeffs.append((lp.var_index(("imp", product.id, ts.id)), 1.0))
-            for comp in instance.grid_components:
-                pb, ratio = instance.grid_product(comp)
-                if pb != b or comp.transport_mode != TRANSSHIPMENT:
-                    continue
-                for e, edge in enumerate(instance.edges):
-                    loss = ratio * (1.0 - comp.grid_efficiency) * edge.length
-                    if loss == 0.0:
-                        continue
-                    coeffs.append((lp.var_index(("fp", comp.id, edge.id, ts.id)), -loss))
-                    coeffs.append((lp.var_index(("fm", comp.id, edge.id, ts.id)), -loss))
-            lp.add_constraint(("sysbal", product.id, ts.id), coeffs, EQ,
-                              float(instance.demand[b, :, t].sum()))
-
-    # nodal balance: local conversion minus booked exports covers local demand
-    for b, product in enumerate(instance.products):
-        for n, node in enumerate(instance.nodes):
-            for t, ts in enumerate(instance.time_steps):
-                coeffs = []
-                for c, comp in enumerate(instance.production_components):
-                    ratio = theta[b, c]
-                    if ratio != 0.0:
-                        coeffs.append((lp.var_index(("prod", comp.id, node.id, ts.id)), ratio))
-                if product.transportable:
-                    for comp in instance.grid_components:
-                        pb, ratio = instance.grid_product(comp)
-                        if pb != b:
-                            continue
-                        for e in range(instance.n_edges):
-                            u, v = instance.edge_endpoints(e)
-                            if u == n:
-                                dirn = 1.0
-                            elif v == n:
-                                dirn = -1.0
-                            else:
-                                continue
-                            for col, sign in _flow_terms(instance, lp, comp, e, ts.id):
-                                coeffs.append((col, -ratio * dirn * sign))
-                rhs = float(instance.demand[b, n, t])
-                if rhs <= 0.0 and all(value >= 0.0 for _, value in coeffs):
-                    continue  # vacuous row
-                lp.add_constraint(("nodal", product.id, node.id, ts.id), coeffs, GE, rhs)
-
-    # DC coupling and flow capacity limits
-    for g, comp in enumerate(instance.grid_components):
-        for e, edge in enumerate(instance.edges):
-            existing = float(instance.existing_grid[g, e, :].sum())
-            gcap_col = lp.var_index(("gcap", comp.id, edge.id))
-            u, v = instance.edge_endpoints(e)
-            for ts in instance.time_steps:
-                if comp.transport_mode == TRANSSHIPMENT:
-                    fp = lp.var_index(("fp", comp.id, edge.id, ts.id))
-                    fm = lp.var_index(("fm", comp.id, edge.id, ts.id))
-                    lp.add_constraint(("gflow", comp.id, edge.id, ts.id),
-                                      [(fp, 1.0), (fm, 1.0), (gcap_col, -1.0)], LE, existing)
-                else:
-                    flow = lp.var_index(("flow", comp.id, edge.id, ts.id))
-                    lp.add_constraint(("gflow+", comp.id, edge.id, ts.id),
-                                      [(flow, 1.0), (gcap_col, -1.0)], LE, existing)
-                    lp.add_constraint(("gflow-", comp.id, edge.id, ts.id),
-                                      [(flow, -1.0), (gcap_col, -1.0)], LE, existing)
-                    ang_u = lp.var_index(("ang", comp.id, instance.nodes[u].id, ts.id))
-                    ang_v = lp.var_index(("ang", comp.id, instance.nodes[v].id, ts.id))
-                    s = comp.susceptance_per_line
-                    lp.add_constraint(("dc", comp.id, edge.id, ts.id),
-                                      [(flow, 1.0), (ang_u, -s), (ang_v, s)], EQ, 0.0)
-
-    # annual emission cap over weighted operation
-    if math.isfinite(instance.ghg_limit):
-        coeffs = []
-        for c, comp in enumerate(instance.production_components):
-            if comp.op_emission == 0.0:
-                continue
-            for node in instance.nodes:
-                for t, ts in enumerate(instance.time_steps):
-                    coeffs.append((lp.var_index(("prod", comp.id, node.id, ts.id)),
-                                   comp.op_emission * weights[t]))
-        lp.add_constraint(("ghg",), coeffs, LE, instance.ghg_limit)
-
-
-def _add_capacity_rows(instance, lp, theta) -> None:
-    # secured capacity: firm, weather-independent supply must cover the floor
-    for b, product in enumerate(instance.products):
-        terms: list[tuple[int, float]] = []
-        firm_existing = 0.0
-        for c, comp in enumerate(instance.production_components):
-            ratio = theta[b, c]
-            if ratio <= 0.0 or comp.capacity_factor == 0.0:
-                continue
-            for n, node in enumerate(instance.nodes):
-                terms.append((lp.var_index(("cap", comp.id, node.id)),
-                              comp.capacity_factor * ratio))
-                firm_existing += (comp.capacity_factor * ratio
-                                  * float(instance.existing_production[c, n, :].sum()))
-        if product.secured_capacity_system is not None:
-            lp.add_constraint(("secsys", product.id), terms, GE,
-                              product.secured_capacity_system - firm_existing)
-        if product.secured_capacity_nodal is not None and not product.transportable:
-            for n, node in enumerate(instance.nodes):
-                node_terms = []
-                node_existing = 0.0
-                for c, comp in enumerate(instance.production_components):
-                    ratio = theta[b, c]
-                    if ratio <= 0.0 or comp.capacity_factor == 0.0:
-                        continue
-                    node_terms.append((lp.var_index(("cap", comp.id, node.id)),
-                                       comp.capacity_factor * ratio))
-                    node_existing += (comp.capacity_factor * ratio
-                                      * float(instance.existing_production[c, n, :].sum()))
-                floor = float(product.secured_capacity_nodal[n])
-                if floor - node_existing > 0.0:
-                    lp.add_constraint(("secnod", product.id, node.id), node_terms, GE,
-                                      floor - node_existing)
-
-    # system-wide expansion limits across every node/edge
-    for c, comp in enumerate(instance.production_components):
-        if comp.system_capacity_limit is None:
-            continue
-        existing = float(instance.existing_production[c].sum())
-        terms = [(lp.var_index(("cap", comp.id, node.id)), 1.0) for node in instance.nodes]
-        lp.add_constraint(("syscap", comp.id), terms, LE,
-                          comp.system_capacity_limit - existing)
-    for g, comp in enumerate(instance.grid_components):
-        if comp.system_capacity_limit is None:
-            continue
-        existing = float(instance.existing_grid[g].sum())
-        terms = [(lp.var_index(("gcap", comp.id, edge.id)), 1.0) for edge in instance.edges]
-        lp.add_constraint(("syscap", comp.id), terms, LE,
-                          comp.system_capacity_limit - existing)

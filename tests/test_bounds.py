@@ -21,8 +21,10 @@ from sparta.bounds import (
 )
 from sparta.clustering import assignment_from_labels, split_disconnected
 from sparta.full_model import build_full_lp
+from sparta.generator import GeneratorSpec, generate
 from sparta.lp import OPTIMAL
 from sparta.model import (
+    DC,
     GRID,
     PRODUCTION,
     TRANSSHIPMENT,
@@ -464,6 +466,47 @@ def test_singleton_bounds_reproduce_full_scale():
         low, high = _bracket(instance, np.arange(instance.n_nodes))
         assert low == pytest.approx(full, rel=1e-6)
         assert high == pytest.approx(full, rel=1e-6)
+
+
+def _relabelled(lp, node_of):
+    """Columns in order and rows by key, with cluster ids mapped to node ids."""
+    tags = {"clbal": "nodal", "secagg": "secnod"}  # the full LP's names
+
+    def key(k):
+        return (tags.get(k[0], k[0]),) + tuple(
+            node_of[x] if isinstance(x, int) else x for x in k[1:])
+
+    cols = [key(k) for k in lp.variable_keys]
+    matrix, rel, rhs = lp.matrix(), lp.relations(), lp.rhs_vector()
+    rows = {}
+    for i, row_key in enumerate(lp.constraint_keys):
+        span = slice(matrix.indptr[i], matrix.indptr[i + 1])
+        coeffs = {cols[j]: v for j, v in zip(matrix.indices[span], matrix.data[span])}
+        rows[key(row_key)] = (rel[i], rhs[i], coeffs)
+    lb, ub = lp.bounds()
+    return cols, lb.tolist(), ub.tolist(), lp.objective_vector().tolist(), \
+        lp.objective_constant, rows
+
+
+@pytest.mark.parametrize("mode", [TRANSSHIPMENT, DC])
+def test_singleton_bound_lps_are_the_full_lp(mode):
+    instances = [generate(GeneratorSpec(seed=seed, n_nodes=n, n_time_steps=n, n_products=3,
+                                        n_components=5, transport_mode=mode))
+                 for n in (4, 8) for seed in (0, 1)]
+    if mode == TRANSSHIPMENT:
+        instances += [factories.single_node_instance(), factories.line_instance(),
+                      factories.line_instance(efficiency=0.98, clean_gen=True, ghg_limit=80.0),
+                      factories.heat_and_power_instance()]
+    else:
+        instances += [factories.line_instance(mode=DC), factories.triangle_dc_instance(),
+                      factories.heat_and_power_instance(mode=DC)]
+    for instance in instances:
+        assign = _assignment(instance, np.arange(instance.n_nodes))
+        node_of = {a: members[0] for a, members in assign.clusters.items()}
+        full = _relabelled(build_full_lp(instance), node_of)
+        # rows compare as a set: the ghg row may sit elsewhere in the full LP
+        assert _relabelled(build_ub_lp(instance, assign), node_of) == full
+        assert _relabelled(build_lb_lp(instance, assign), node_of) == full
 
 
 def test_restricting_existing_use_never_helps():

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from sparta import io, simplex
-from sparta.bounds import LOWER, UPPER
+from sparta.bounds import ADDITIVE_LOSSES, COMPOUND_LOSSES, LOWER, UPPER
+from sparta.clustering import HIERARCHICAL, KMEANS, KMEDOIDS
 from sparta.driver import (
     CONVERGED,
     FAST_FORWARD,
@@ -155,6 +156,25 @@ def test_config_validation():
         SpArtaConfig(step_rule="sometimes")
     assert SpArtaConfig(step_rule="fixed:3").fixed_step() == 3
     assert SpArtaConfig(step_rule=FAST_FORWARD).fixed_step() is None
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("solver_tolerance", -1.0, "solver_tolerance"),
+    ("solver_tolerance", 0.0, "solver_tolerance"),
+    ("solver_tolerance", math.nan, "solver_tolerance"),
+    ("solver_tolerance", math.inf, "solver_tolerance"),
+    ("loss_model", "compund", "loss model"),
+    ("cluster_method", "kmedians", "clustering method"),
+])
+def test_config_rejects_fields_that_would_fail_mid_run(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        SpArtaConfig(**{field: value})
+
+
+def test_config_accepts_every_known_loss_model_and_method():
+    for loss_model in (COMPOUND_LOSSES, ADDITIVE_LOSSES):
+        for method in (KMEANS, KMEDOIDS, HIERARCHICAL):
+            SpArtaConfig(loss_model=loss_model, cluster_method=method, solver_tolerance=1e-9)
 
 
 # -- the loop ---------------------------------------------------------------------

@@ -201,6 +201,23 @@ def test_fixing_design_reproduces_operation():
     assert res2.objective == pytest.approx(res.objective, rel=1e-7)
 
 
+@pytest.mark.parametrize("fixing", [
+    {"fix_production": {("gen", "n9"): 1.0}},   # misspelled node
+    {"fix_production": {("gne", "n1"): 1.0}},   # misspelled component
+    {"fix_production": {("wire", "n1"): 1.0}},  # a grid component
+    {"fix_grid": {("wire", "e9"): 1.0}},        # misspelled edge
+    {"fix_grid": {("wrie", "e1"): 1.0}},        # misspelled component
+    {"fix_grid": {("gen", "e1"): 1.0}},         # a production component
+], ids=["prod-node", "prod-component", "prod-grid-component", "grid-edge",
+        "grid-component", "grid-production-component"])
+def test_unknown_fixing_keys_are_rejected(fixing):
+    instance = factories.line_instance()
+    build_full_lp(instance, fix_production={("gen", "n1"): 1.0},
+                  fix_grid={("wire", "e1"): 1.0})  # the spelled-right keys pass
+    with pytest.raises(KeyError):
+        build_full_lp(instance, **fixing)
+
+
 def test_extraction_detects_objective_mismatch():
     instance = factories.single_node_instance()
     lp = build_full_lp(instance)
