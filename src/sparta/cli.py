@@ -42,7 +42,7 @@ from .lp import (
     SubproblemError,
     UnboundedModelError,
 )
-from .model import DC, TRANSSHIPMENT, EnergySystemInstance, validate_instance
+from .model import DC, TRANSSHIPMENT, EnergySystemInstance
 from .pipeline import (
     run_pipeline,
     solve_full,
@@ -150,10 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args: argparse.Namespace) -> EnergySystemInstance:
     instance = read_instance(args.instance)
-    report = validate_instance(instance)
-    if not report.ok:
-        raise DocumentFormatError(
-            f"{args.instance}: " + "; ".join(report.violations))
     if args.export_lp:
         Path(args.export_lp).write_text(mps.export_standard(build_full_lp(instance)))
     return instance

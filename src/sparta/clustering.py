@@ -41,9 +41,6 @@ class ClusterAssignment:
     def cardinality(self) -> dict[int, int]:
         return {a: len(members) for a, members in self.clusters.items()}
 
-    def members(self, a: int) -> tuple[str, ...]:
-        return self.clusters[a]
-
 
 def node_features(instance: EnergySystemInstance, include_demand: bool = False) -> np.ndarray:
     """(x, y) per node, optionally extended by standardized mean demand."""

@@ -11,6 +11,13 @@ a full-scale design; an operational check with every capacity frozen proves it
 feasible, and when phase-angle coupling breaks that check, a final network
 optimization with free grid expansion repairs it.
 
+Each cluster LP is :func:`~sparta.full_model.build_full_lp` on a slice of the
+instance, edited only where decomposition needs it (budgets, import ceilings,
+a curtailable cluster balance).  Its result is therefore read and priced by
+:func:`~sparta.solution.extract_solution` on that slice, which also checks the
+cost and emissions against the solver, and the recombined design is priced by
+:func:`~sparta.solution.annual_cost_report` like any full-scale solution.
+
 Boundary bookkeeping is lossless: the fixed flow enters the member node at
 full value, and no boundary loss term is charged inside the subproblem.  The
 cluster-wide balance is therefore kept as an inequality (over-supply is
@@ -35,12 +42,13 @@ from .lp import (
     EQ,
     GE,
     LinearProgram,
+    SolutionMismatchError,
     SolveResult,
     StructurallyInfeasibleError,
     SubproblemError,
 )
 from .model import EnergySystemInstance
-from .solution import SystemSolution, extract_solution
+from .solution import SystemSolution, annual_cost_report, extract_solution
 
 #: provenance marker for grid entries taken from the aggregated solution
 #: because the edge crosses a cluster boundary
@@ -56,7 +64,7 @@ class ClusterSubproblem:
 
     cluster: int
     members: tuple[str, ...]
-    internal_edges: tuple[str, ...]
+    instance: EnergySystemInstance  # the cluster's slice that ``lp`` is built on
     boundary_flows: dict[tuple[str, str, str], float]  # (component, edge, step)
     capacity_budgets: dict[str, float]  # component id -> fixed total addition
     import_shares: dict[tuple[str, str], float]  # (product, step) -> ceiling
@@ -229,7 +237,7 @@ def build_cluster_subproblem(
     return ClusterSubproblem(
         cluster=cluster,
         members=assignment.clusters[cluster],
-        internal_edges=tuple(e.id for e in sub.edges),
+        instance=sub,
         boundary_flows=boundary,
         capacity_budgets=budgets,
         import_shares=shares,
@@ -238,52 +246,25 @@ def build_cluster_subproblem(
     )
 
 
-def _solve_subproblem(
-    instance: EnergySystemInstance,
-    subproblem: ClusterSubproblem,
-    tol: float,
-) -> ClusterRedesign:
+def _solve_subproblem(subproblem: ClusterSubproblem, tol: float) -> ClusterRedesign:
     result = simplex.solve(subproblem.lp, tol)
     if not result.optimal:
         raise SubproblemError(
             f"cluster {subproblem.cluster}: redesign LP came back {result.status}; "
             "the aggregated restriction should have guaranteed feasibility"
         )
-    lp = subproblem.lp
-    capacity: dict[tuple[str, str], float] = {}
-    production: dict[tuple[str, str, str], float] = {}
-    for comp in instance.production_components:
-        for m in subproblem.members:
-            capacity[(comp.id, m)] = result.value_of(lp, ("cap", comp.id, m))
-            for ts in instance.time_steps:
-                production[(comp.id, m, ts.id)] = result.value_of(lp, ("prod", comp.id, m, ts.id))
-    expansion = {
-        (comp.id, eid): result.value_of(lp, ("gcap", comp.id, eid))
-        for comp in instance.grid_components
-        for eid in subproblem.internal_edges
-    }
-    imports = {
-        (product.id, ts.id): result.value_of(lp, ("imp", product.id, ts.id))
-        for product in instance.products
-        if product.import_allowed
-        for ts in instance.time_steps
-    }
-    weights = {ts.id: ts.weight for ts in instance.time_steps}
-    ghg = sum(
-        comp.op_emission * weights[tsid] * level
-        for comp in instance.production_components
-        if comp.op_emission != 0.0
-        for (cid, _m, tsid), level in production.items()
-        if cid == comp.id
-    )
+    try:
+        sol = extract_solution(subproblem.instance, subproblem.lp, result)
+    except SolutionMismatchError as exc:
+        raise SolutionMismatchError(f"cluster {subproblem.cluster}: {exc}") from exc
     return ClusterRedesign(
         cluster=subproblem.cluster,
-        tac=result.objective,
-        ghg=float(ghg),
-        capacity=capacity,
-        internal_expansion=expansion,
-        production=production,
-        imports=imports,
+        tac=sol.tac,
+        ghg=sol.ghg,
+        capacity=sol.capacity_expansion,
+        internal_expansion=sol.grid_expansion,
+        production=sol.production,
+        imports={key: sol.imports[key] for key in subproblem.import_shares},
         wall_time=result.wall_time,
     )
 
@@ -310,7 +291,7 @@ def redesign_all(
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     workers = min(len(subproblems), jobs) if jobs is not None else len(subproblems)
     with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
-        redesigns = list(pool.map(lambda s: _solve_subproblem(instance, s, tol), subproblems))
+        redesigns = list(pool.map(lambda s: _solve_subproblem(s, tol), subproblems))
 
     design = FullDesign()
     for sub, redesign in zip(subproblems, redesigns):
@@ -328,15 +309,12 @@ def redesign_all(
             design.grid_expansion[(comp_id, edge_id)] = value
             design.provenance[("gcap", comp_id, edge_id)] = redesign.cluster
 
-    internal_ids = {eid for sub in subproblems for eid in sub.internal_edges}
     for comp in instance.grid_components:
         for edge in instance.edges:
-            if edge.id in internal_ids:
-                continue
-            design.grid_expansion[(comp.id, edge.id)] = ub_solution.grid_expansion.get(
-                (comp.id, edge.id), 0.0
-            )
-            design.provenance[("gcap", comp.id, edge.id)] = BOUNDARY
+            key = (comp.id, edge.id)
+            if key not in design.grid_expansion:  # no cluster owns it
+                design.grid_expansion[key] = ub_solution.grid_expansion.get(key, 0.0)
+                design.provenance[("gcap",) + key] = BOUNDARY
     return design, redesigns
 
 
@@ -347,24 +325,20 @@ def redesign_tac(
 ) -> float:
     """Total annual cost of the redesign phase.
 
-    Cluster objectives already carry their members' capital and operating
-    cost; the cross-cluster edges, which no subproblem owns, contribute their
-    legacy capital cost plus the aggregated expansion kept in the design.
+    The recombined design is priced like any full-scale solution, with the
+    clusters' production and their summed imports as its operation.  The
+    cross-cluster edges, which no subproblem owns, enter with the aggregated
+    expansion kept in the design.
     """
-    total = sum(r.tac for r in redesigns)
-    y_now = instance.n_prior_years
-    for g, comp in enumerate(instance.grid_components):
-        for e, edge in enumerate(instance.edges):
-            if design.provenance.get(("gcap", comp.id, edge.id)) != BOUNDARY:
-                continue
-            for y in range(instance.n_prior_years):
-                cap = float(instance.existing_grid[g, e, y])
-                if cap:
-                    total += instance.annualized_invest(comp, y) * cap * edge.length
-            added = design.grid_expansion.get((comp.id, edge.id), 0.0)
-            if added:
-                total += instance.annualized_invest(comp, y_now) * added * edge.length
-    return float(total)
+    production: dict[tuple[str, str, str], float] = {}
+    imports: dict[tuple[str, str], float] = {}
+    for r in redesigns:
+        production.update(r.production)
+        for key, value in r.imports.items():
+            imports[key] = imports.get(key, 0.0) + value
+    capex_prod, capex_grid, opex, _ghg = annual_cost_report(
+        instance, design.capacity_expansion, design.grid_expansion, production, imports)
+    return capex_prod + capex_grid + opex
 
 
 def operational_check(

@@ -28,7 +28,7 @@ from .lp import (
     NumericBreakdownError,
     UnboundedModelError,
 )
-from .model import EnergySystemInstance
+from .model import EnergySystemInstance, validate_instance
 
 FAST_FORWARD = "fast-forward"
 
@@ -117,6 +117,18 @@ def gap(tac_lb: float, tac_ub: float) -> float:
     return (tac_ub - tac_lb) / tac_lb
 
 
+def tolerant_gap(tac_lb: float, tac: float, tol: float) -> float:
+    """:func:`gap`, except where the lower bound is within tolerance of zero.
+
+    Such a bound cannot anchor a relative gap: the gap is then closed when
+    ``tac`` is that small too (nothing worth building) and infinite otherwise.
+    """
+    atol = max(tol, 1e-12)
+    if tac_lb > atol:
+        return gap(tac_lb, tac)
+    return 0.0 if tac <= atol else math.inf
+
+
 def fast_forward_next_k(previous: BoundIterationRecord, latest: BoundIterationRecord,
                         epsilon_target: float, min_step: int, max_step: int) -> int:
     """Extrapolate both bound trends into the target band and jump there.
@@ -176,6 +188,9 @@ def run_iterations(instance: EnergySystemInstance,
     infeasible restriction just means this resolution was too coarse, except
     at full resolution where it is terminal too.
     """
+    report = validate_instance(instance)
+    if not report.ok:
+        raise ValueError("invalid instance: " + "; ".join(report.violations))
     config = config or SpArtaConfig()
     n = instance.n_nodes
     history: list[BoundIterationRecord] = []
@@ -215,13 +230,7 @@ def run_iterations(instance: EnergySystemInstance,
         else:
             raise NumericBreakdownError(f"upper bound solve ended {ub_res.status!r}")
 
-        atol = max(config.solver_tolerance, 1e-12)
-        if tac_lb > atol:
-            epsilon = gap(tac_lb, tac_ub) if math.isfinite(tac_ub) else math.inf
-        elif math.isfinite(tac_ub) and tac_ub <= atol:
-            epsilon = 0.0  # nothing worth building on either side
-        else:
-            epsilon = math.inf
+        epsilon = tolerant_gap(tac_lb, tac_ub, config.solver_tolerance)
 
         if ub_solution is not None:
             for old in history:

@@ -39,7 +39,6 @@ def build_full_lp(
     """
     lp = _AggregatedBuilder(instance, None, LOWER).build()
     lp.name = name
-    lp.meta = {"kind": "full"}
     for kind, frozen in (("cap", fix_production), ("gcap", fix_grid)):
         for (cid, where), value in (frozen or {}).items():
             lp.set_variable_bounds((kind, cid, where), lb=value, ub=value)

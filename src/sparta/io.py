@@ -25,6 +25,7 @@ from .model import (
     Node,
     Product,
     TimeStep,
+    validate_instance,
 )
 from .solution import SystemSolution
 
@@ -228,13 +229,18 @@ def write_instance(instance: EnergySystemInstance, path: str | Path) -> None:
 
 
 def read_instance(path: str | Path) -> EnergySystemInstance:
+    """Load an instance document, listing every validation violation if any."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise DocumentFormatError(f"{path}: not valid structured text: {exc}") from exc
     if not isinstance(doc, dict):
         raise DocumentFormatError(f"{path}: top level must be a mapping")
-    return instance_from_document(doc)
+    instance = instance_from_document(doc)
+    report = validate_instance(instance)
+    if not report.ok:
+        raise DocumentFormatError(f"{path}: " + "; ".join(report.violations))
+    return instance
 
 
 # -- solution documents ------------------------------------------------------

@@ -8,7 +8,7 @@ deliberately dumb: builders append, the solver consumes the assembled arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable
 
 import numpy as np
@@ -77,7 +77,6 @@ class LinearProgram:
 
     name: str = "lp"
     objective_constant: float = 0.0
-    meta: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self._var_keys: list[Any] = []

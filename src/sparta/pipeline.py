@@ -18,7 +18,6 @@ asserted, because it depends on the machine.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,7 +32,8 @@ from .decompose import (
     redesign_all,
     redesign_tac,
 )
-from .driver import RunResult, SpArtaConfig, gap, run_iterations
+from .driver import RunResult, SpArtaConfig, run_iterations
+from .driver import tolerant_gap as _quality  # the loop's own gap rule
 from .full_model import build_full_lp
 from .lp import (
     INFEASIBLE,
@@ -44,7 +44,7 @@ from .lp import (
     SpartaError,
     UnboundedModelError,
 )
-from .model import EnergySystemInstance
+from .model import EnergySystemInstance, validate_instance
 from .solution import SystemSolution, extract_solution
 
 REPORT_SCHEMA = "sparta-report/1"
@@ -94,6 +94,9 @@ class PipelineResult:
 
 def solve_full(instance: EnergySystemInstance, tol: float = 1e-7) -> SystemSolution:
     """Benchmark path: one monolithic solve at full spatial resolution."""
+    report = validate_instance(instance)
+    if not report.ok:
+        raise ValueError("invalid instance: " + "; ".join(report.violations))
     lp = build_full_lp(instance)
     result = simplex.solve(lp, tol)
     if result.status == INFEASIBLE:
@@ -196,14 +199,6 @@ def run_pipeline(
         report=report, run=run, design=design, redesigns=redesigns,
         solution=final, full_solution=full_solution, check_status=check.status,
     )
-
-
-def _quality(tac_lb: float, tac: float, tol: float) -> float:
-    """Relative distance above the lower bound, 0/0 treated as closed."""
-    atol = max(tol, 1e-12)
-    if tac_lb > atol:
-        return gap(tac_lb, tac)
-    return 0.0 if tac <= atol else math.inf
 
 
 class _phase:

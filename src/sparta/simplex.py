@@ -116,8 +116,8 @@ def _record(lp: LinearProgram, result: SolveResult, nnz: int, phase_one_iteratio
     return result
 
 
-def solve(lp: LinearProgram, tol: float = 1e-7, size_limit: int = DEFAULT_SIZE_LIMIT,
-          max_iterations: int | None = None) -> SolveResult:
+def solve(lp: LinearProgram, tol: float = 1e-7,
+          size_limit: int = DEFAULT_SIZE_LIMIT) -> SolveResult:
     """Solve ``lp`` to optimality, or detect infeasibility/unboundedness.
 
     Raises :class:`SizeLimitError` above ``size_limit`` variables and
@@ -230,7 +230,7 @@ def solve(lp: LinearProgram, tol: float = 1e-7, size_limit: int = DEFAULT_SIZE_L
     fac = refactor()
 
     feastol = tol * (1.0 + float(np.max(np.abs(b))))
-    iter_cap = max_iterations or max(20_000, 60 * (m + n))
+    iter_cap = max(20_000, 60 * (m + n))
     total_iters = phase_one_iters = 0
 
     def finish(result_status: str, objective: float, x: np.ndarray) -> SolveResult:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from sparta.model import (
@@ -113,6 +115,14 @@ def line_instance(mode: str = TRANSSHIPMENT, efficiency: float = 1.0,
         existing_grid=np.zeros((1, 1, 0)),
         ghg_limit=ghg_limit,
     )
+
+
+def looped_line_instance() -> EnergySystemInstance:
+    """:func:`line_instance` plus an edge from n2 back to itself (invalid)."""
+    inst = line_instance()
+    return dataclasses.replace(
+        inst, edges=inst.edges + (Edge(id="loop", node_a="n2", node_b="n2"),),
+        existing_grid=np.zeros((1, 2, 0)))
 
 
 def triangle_dc_instance() -> EnergySystemInstance:

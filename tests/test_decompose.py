@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sparta import simplex
+from sparta import simplex, solution
 from sparta.bounds import (
     AggregatedSolution,
     build_lb_lp,
@@ -24,7 +24,8 @@ from sparta.decompose import (
 )
 from sparta.driver import SpArtaConfig, run_iterations
 from sparta.full_model import build_full_lp
-from sparta.lp import EQ, GE, INFEASIBLE, SubproblemError
+from sparta.generator import GeneratorSpec, generate
+from sparta.lp import EQ, GE, INFEASIBLE, SolutionMismatchError, SubproblemError
 from sparta.model import (
     DC,
     GRID,
@@ -328,3 +329,66 @@ def test_ghg_budget_carries_realized_cluster_emissions():
     assert sub.lp.rhs_vector()[row] == pytest.approx(sub.ghg_budget)
     _design, redesigns = redesign_all(inst, assignment, sol)
     assert redesigns[0].ghg <= sub.ghg_budget + 1e-7
+
+
+def _redesign_corpus(mode):
+    generated = [generate(GeneratorSpec(seed=seed, n_nodes=n, n_time_steps=t,
+                                        transport_mode=mode))
+                 for n, t in ((4, 4), (6, 8)) for seed in range(4)]
+    if mode == TRANSSHIPMENT:
+        hand = [factories.single_node_instance(), factories.uniform_ring_instance()]
+    else:
+        hand = [factories.triangle_dc_instance()]
+    return hand + [factories.line_instance(mode),
+                   factories.heat_and_power_instance(mode)] + generated
+
+
+@pytest.mark.parametrize("mode", [TRANSSHIPMENT, DC])
+def test_redesign_tac_is_cluster_objectives_plus_boundary_capex(mode):
+    # the recombined design, priced as a whole, must cost what the cluster
+    # LPs charged plus the capital of the edges no cluster owns
+    for inst in _redesign_corpus(mode):
+        run = run_iterations(inst, SpArtaConfig())
+        design, redesigns = redesign_all(inst, run.assignment, run.ub_solution)
+        expected = sum(
+            _solved(build_cluster_subproblem(inst, run.assignment, run.ub_solution, a).lp).objective
+            for a in sorted(run.assignment.clusters))
+        y_now = inst.n_prior_years
+        for g, comp in enumerate(inst.grid_components):
+            for e, edge in enumerate(inst.edges):
+                if design.provenance[("gcap", comp.id, edge.id)] != BOUNDARY:
+                    continue
+                for y in range(y_now):
+                    expected += (inst.annualized_invest(comp, y) * edge.length
+                                 * float(inst.existing_grid[g, e, y]))
+                expected += (inst.annualized_invest(comp, y_now) * edge.length
+                             * design.grid_expansion[(comp.id, edge.id)])
+        assert redesign_tac(inst, design, redesigns) == pytest.approx(
+            expected, rel=1e-9, abs=1e-9)
+
+
+def test_cluster_cost_mismatch_names_the_cluster(monkeypatch):
+    inst = factories.heat_and_power_instance(TRANSSHIPMENT)
+    run, _record = _terminated(inst, 0.5)
+    original = solution.annual_cost_report
+
+    def overpriced(*args):
+        capex_prod, capex_grid, opex, ghg = original(*args)
+        return capex_prod + 1.0, capex_grid, opex, ghg
+
+    monkeypatch.setattr(solution, "annual_cost_report", overpriced)
+    with pytest.raises(SolutionMismatchError) as caught:
+        redesign_all(inst, run.assignment, run.ub_solution, jobs=1)
+    assert str(caught.value).startswith("cluster 0: recomputed cost")
+
+
+def test_inflows_that_cover_demand_leave_no_unservable_residue():
+    # at one node per cluster n3 receives its whole demand over e1 and e2;
+    # 8 - 16/3 - 8/3 rounds to 8.9e-16, which is not demand without a producer
+    inst = factories.triangle_dc_instance()
+    assignment = split_disconnected(inst, cluster_nodes(inst, 3, "kmedoids"))
+    ub_lp = build_ub_lp(inst, assignment)
+    sol = extract_aggregated_solution(inst, assignment, ub_lp, _solved(ub_lp))
+    design, redesigns = redesign_all(inst, assignment, sol)
+    assert redesign_tac(inst, design, redesigns) == pytest.approx(
+        _solved(build_full_lp(inst)).objective, rel=1e-9)

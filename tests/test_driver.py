@@ -294,3 +294,8 @@ def test_aggregated_design_bookkeeping():
     clusters = set(result.assignment.clusters)
     assert {a for _, a in sol.capacity_expansion} == clusters
     assert all(v >= -1e-9 for v in sol.production.values())
+
+
+def test_run_iterations_rejects_an_invalid_instance():
+    with pytest.raises(ValueError, match="edge loop: self-loop"):
+        run_iterations(factories.looped_line_instance())

@@ -25,7 +25,12 @@ from sparta.io import (
 from sparta.lp import DocumentFormatError
 from sparta.solution import SystemSolution
 
-from _factories import heat_and_power_instance, line_instance, single_node_instance
+from _factories import (
+    heat_and_power_instance,
+    line_instance,
+    looped_line_instance,
+    single_node_instance,
+)
 
 
 def _assert_instances_equal(a, b):
@@ -199,3 +204,10 @@ def test_assignment_rejects_bad_row(tmp_path):
     path.write_text("n1\t0\nn2 1\n")
     with pytest.raises(DocumentFormatError, match=":2"):
         read_assignment(path)
+
+
+def test_read_instance_lists_validation_violations(tmp_path):
+    path = tmp_path / "looped.json"
+    write_instance(looped_line_instance(), path)
+    with pytest.raises(DocumentFormatError, match="edge loop: self-loop"):
+        read_instance(path)

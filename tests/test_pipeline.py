@@ -1,7 +1,10 @@
 """Pipeline tests: benchmark solve, phase chaining, report plumbing."""
 
 import dataclasses
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,3 +177,21 @@ def test_comparison_report_is_plain_data():
     assert {"tac_lb", "tac_ub", "tac_redesign", "tac_final", "tac_full",
             "epsilon_bounds", "epsilon_redesign", "epsilon_final",
             "speedup"} <= fields
+
+
+def test_solve_full_rejects_an_invalid_instance():
+    with pytest.raises(ValueError, match="edge loop: self-loop"):
+        solve_full(factories.looped_line_instance())
+
+
+def test_every_traced_binding_resolves(monkeypatch):
+    # the benchmark's traced mode patches these attributes by name; a missing
+    # one makes every traced run crash
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # for its dataclasses
+    spec.loader.exec_module(tracing)
+    for module_name, attr in tracing.SPAN_TARGETS:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), \
+            f"{module_name}.{attr}"
