@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .model import EnergySystemInstance
 
@@ -87,17 +85,15 @@ def cluster_nodes(instance: EnergySystemInstance, k: int, method: str, seed: int
 
 def assignment_from_labels(instance: EnergySystemInstance, labels: np.ndarray) -> ClusterAssignment:
     """Canonicalize labels into a ClusterAssignment (ids by first appearance)."""
-    labels = np.asarray(labels)
     order: dict[int, int] = {}
-    for raw in labels:  # nodes are in declared order, so ids follow least member
-        if int(raw) not in order:
-            order[int(raw)] = len(order)
-    canonical = np.array([order[int(v)] for v in labels])
+    # nodes are in declared order, so ids follow least member
+    canonical = [order.setdefault(raw, len(order)) for raw in np.asarray(labels).tolist()]
 
-    cluster_of = {node.id: int(canonical[i]) for i, node in enumerate(instance.nodes)}
-    clusters: dict[int, tuple[str, ...]] = {}
-    for a in range(len(order)):
-        clusters[a] = tuple(node.id for i, node in enumerate(instance.nodes) if canonical[i] == a)
+    cluster_of = {node.id: a for node, a in zip(instance.nodes, canonical)}
+    members: list[list[str]] = [[] for _ in order]
+    for node, a in zip(instance.nodes, canonical):
+        members[a].append(node.id)
+    clusters = {a: tuple(m) for a, m in enumerate(members)}
     internal: dict[int, list[str]] = {a: [] for a in clusters}
     external: dict[int, list[str]] = {a: [] for a in clusters}
     for edge in instance.edges:
@@ -117,26 +113,27 @@ def assignment_from_labels(instance: EnergySystemInstance, labels: np.ndarray) -
 
 def split_disconnected(instance: EnergySystemInstance,
                        assignment: ClusterAssignment) -> ClusterAssignment:
-    """Break clusters apart along missing internal connectivity."""
-    node_pos = {node.id: i for i, node in enumerate(instance.nodes)}
-    labels = np.zeros(instance.n_nodes, dtype=int)
-    next_id = 0
-    for a in sorted(assignment.clusters):
-        members = assignment.clusters[a]
-        positions = [node_pos[m] for m in members]
-        local = {p: i for i, p in enumerate(positions)}
-        rows, cols = [], []
-        for eid in assignment.internal_edges[a]:
-            e = instance.edges[instance.edge_index(eid)]
-            rows.append(local[node_pos[e.node_a]])
-            cols.append(local[node_pos[e.node_b]])
-        graph = sp.coo_matrix((np.ones(len(rows)), (rows, cols)),
-                              shape=(len(members), len(members)))
-        n_parts, parts = connected_components(graph, directed=False)
-        for i, p in enumerate(positions):
-            labels[p] = next_id + int(parts[i])
-        next_id += n_parts
-    return assignment_from_labels(instance, labels)
+    """Break clusters apart along missing internal connectivity.
+
+    One union-find pass over the internal edges joins each cluster's
+    connected members; :func:`assignment_from_labels` then numbers the
+    resulting parts canonically.
+    """
+    parent = list(range(instance.n_nodes))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]  # path halving
+            i = parent[i]
+        return i
+
+    for edge_ids in assignment.internal_edges.values():
+        for eid in edge_ids:
+            u, v = instance.edge_endpoints(instance.edge_index(eid))
+            ru, rv = root(u), root(v)
+            if ru != rv:
+                parent[max(ru, rv)] = min(ru, rv)
+    return assignment_from_labels(instance, [root(i) for i in range(instance.n_nodes)])
 
 
 def _kmeans(points: np.ndarray, k: int, seed: int, starts: int = 10,

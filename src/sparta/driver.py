@@ -1,13 +1,18 @@
 """Iterative resolution loop: cluster, bound both sides, widen k until tight.
 
 Each pass clusters the nodes, solves the relaxed and restricted aggregated
-problems, and records the relative gap between them.  The next resolution
+problems, and records the relative gap between them.  At one node per
+cluster both problems are the monolithic LP, so that pass builds and solves
+it once and reads both bounds off the one result.  The next resolution
 comes from a fixed step or from extrapolating both bound trends toward the
-band where they would meet within the target gap.
+band where they would meet within the target gap.  Each pass leaves one
+DEBUG record on the ``sparta.driver`` logger saying how it picked the next
+resolution.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -33,8 +38,14 @@ from .model import EnergySystemInstance, validate_instance
 FAST_FORWARD = "fast-forward"
 
 CONVERGED = "converged"
-FULL_RESOLUTION = "full-resolution"
 MAX_ITERATIONS = "max-iterations"
+
+# why the loop picked its next resolution, as logged per pass
+FIXED_STEP = "fixed-step"
+MIN_STEP = "min-step"
+CAPPED_AT_N = "capped-at-n"
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -95,7 +106,7 @@ class BoundIterationRecord:
     tac_ub: float   # infinite when the restriction was infeasible at this k
     epsilon: float
     wall_lb_s: float
-    wall_ub_s: float
+    wall_ub_s: float  # 0.0 at one node per cluster: the lower bound's solve serves both
     assignment: ClusterAssignment | None = None
     ub_solution: AggregatedSolution | None = None
 
@@ -165,28 +176,61 @@ def _cluster_and_split(instance: EnergySystemInstance, config: SpArtaConfig,
     return split_disconnected(instance, raw)
 
 
-def _next_k(config: SpArtaConfig, history: list[BoundIterationRecord], n: int) -> int:
+def _next_k(config: SpArtaConfig, history: list[BoundIterationRecord],
+            n: int) -> tuple[int, str]:
+    """The next resolution and the rule that picked it."""
     latest = history[-1]
     step = config.fixed_step()
     if step is not None:
-        proposal = latest.k_effective + step
+        proposal, rule = latest.k_effective + step, FIXED_STEP
     elif len(history) < 2:
-        proposal = latest.k_effective + config.min_step
+        proposal, rule = latest.k_effective + config.min_step, MIN_STEP
     else:
         proposal = fast_forward_next_k(history[-2], latest, config.epsilon_target,
                                        config.min_step, config.max_step)
-    return min(n, proposal)
+        # a fallback to the minimum step and a clamp up to it both log as such
+        rule = MIN_STEP if proposal - latest.k_effective == config.min_step else FAST_FORWARD
+    if proposal > n:
+        return n, CAPPED_AT_N
+    return proposal, rule
+
+
+def _log_pass(record: BoundIterationRecord, shared_solve: bool, next_k: int | None,
+              rule: str | None) -> None:
+    """One DEBUG record per pass; ``next_k`` and ``rule`` are None once converged."""
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug(
+            "pass %d: k=%d lb=%.6g ub=%.6g epsilon=%.3g, %s", record.iteration,
+            record.k_effective, record.tac_lb, record.tac_ub, record.epsilon,
+            "converged" if next_k is None else f"next k={next_k} ({rule})",
+            extra={
+                "iteration": record.iteration,
+                "k_requested": record.k_requested,
+                "k_effective": record.k_effective,
+                "tac_lb": record.tac_lb,
+                "tac_ub": record.tac_ub,
+                "epsilon": record.epsilon,
+                "wall_lb_s": record.wall_lb_s,
+                "wall_ub_s": record.wall_ub_s,
+                "shared_solve": shared_solve,
+                "next_k": next_k,
+                "next_k_rule": rule,
+            },
+        )
 
 
 def run_iterations(instance: EnergySystemInstance,
                    config: SpArtaConfig | None = None) -> RunResult:
     """Raise the spatial resolution until the bound gap meets the target.
 
-    Stops when the gap closes, when every node is its own cluster, or when
-    the iteration budget runs out; the reason is reported on the result.
-    An infeasible relaxation means the instance itself has no solution.  An
-    infeasible restriction just means this resolution was too coarse, except
-    at full resolution where it is terminal too.
+    Stops when the gap closes or when the iteration budget runs out; the
+    reason is reported on the result.  An infeasible relaxation means the
+    instance itself has no solution.  An infeasible restriction just means
+    this resolution was too coarse.  At one node per cluster the two bound
+    LPs are the same monolithic LP, so only the lower bound's is built and
+    solved: that pass has ``tac_ub == tac_lb`` (so the gap always closes
+    there), its design comes from the same solve, and its ``wall_ub_s`` is
+    0.0.
     """
     report = validate_instance(instance)
     if not report.ok:
@@ -214,16 +258,18 @@ def run_iterations(instance: EnergySystemInstance,
             raise NumericBreakdownError(f"lower bound solve ended {lb_res.status!r}")
         tac_lb = lb_res.objective
 
-        ub_lp = build_ub_lp(instance, assignment, loss_model=config.loss_model)
-        ub_res = simplex.solve(ub_lp, config.solver_tolerance)
+        shared_solve = assignment.k >= n
+        if shared_solve:  # the restriction's guards all vanish at singletons
+            ub_lp, ub_res, wall_ub_s = lb_lp, lb_res, 0.0
+        else:
+            ub_lp = build_ub_lp(instance, assignment, loss_model=config.loss_model)
+            ub_res = simplex.solve(ub_lp, config.solver_tolerance)
+            wall_ub_s = ub_res.wall_time
         ub_solution = None
         if ub_res.optimal:
             tac_ub = ub_res.objective
             ub_solution = extract_aggregated_solution(instance, assignment, ub_lp, ub_res)
         elif ub_res.status == INFEASIBLE:
-            if assignment.k >= n:
-                raise InfeasibleInstanceError(
-                    "restriction is still infeasible at full resolution")
             tac_ub = math.inf  # too coarse; a finer resolution may recover
         elif ub_res.status == UNBOUNDED:
             raise UnboundedModelError("upper bound LP is unbounded")
@@ -235,19 +281,19 @@ def run_iterations(instance: EnergySystemInstance,
         if ub_solution is not None:
             for old in history:
                 old.ub_solution = None  # only the latest design is retained
-        history.append(BoundIterationRecord(
+        record = BoundIterationRecord(
             iteration=iteration, k_requested=k, k_effective=assignment.k,
             tac_lb=tac_lb, tac_ub=tac_ub, epsilon=epsilon,
-            wall_lb_s=lb_res.wall_time, wall_ub_s=ub_res.wall_time,
-            assignment=assignment, ub_solution=ub_solution))
+            wall_lb_s=lb_res.wall_time, wall_ub_s=wall_ub_s,
+            assignment=assignment, ub_solution=ub_solution)
+        history.append(record)
 
         if epsilon <= config.epsilon_target:
+            _log_pass(record, shared_solve, None, None)
             reason = CONVERGED
             break
-        if assignment.k >= n:
-            reason = FULL_RESOLUTION
-            break
-        k = _next_k(config, history, n)
+        k, rule = _next_k(config, history, n)
+        _log_pass(record, shared_solve, k, rule)
 
     # pair the returned assignment with the newest record holding a design,
     # so a trailing infeasible restriction cannot strand the caller

@@ -85,17 +85,27 @@ def extract_solution(instance: EnergySystemInstance, lp: LinearProgram,
             for ts in instance.time_steps:
                 sol.production[(comp.id, node.id, ts.id)] = result.value_of(
                     lp, ("prod", comp.id, node.id, ts.id))
+    # booked exports: positive when the node feeds the edge's oriented flow,
+    # summed per (node, step) over carriers, then edges, in declared order
+    booked = {b: [[0.0] * instance.n_time_steps for _ in instance.nodes]
+              for b, product in enumerate(instance.products) if product.transportable}
     for g, comp in enumerate(instance.grid_components):
-        for edge in instance.edges:
+        pb, ratio = instance.grid_product(comp)
+        totals = booked.get(pb)
+        for e, edge in enumerate(instance.edges):
             sol.grid_expansion[(comp.id, edge.id)] = result.value_of(
                 lp, ("gcap", comp.id, edge.id))
-            for ts in instance.time_steps:
+            u, v = instance.edge_endpoints(e)
+            for t, ts in enumerate(instance.time_steps):
                 if comp.transport_mode == TRANSSHIPMENT:
                     net = (result.value_of(lp, ("fp", comp.id, edge.id, ts.id))
                            - result.value_of(lp, ("fm", comp.id, edge.id, ts.id)))
                 else:
                     net = result.value_of(lp, ("flow", comp.id, edge.id, ts.id))
                 sol.flows[(comp.id, edge.id, ts.id)] = net
+                if totals is not None:
+                    totals[u][t] += ratio * net
+                    totals[v][t] -= ratio * net
         for n, node in enumerate(instance.nodes):
             for ts in instance.time_steps:
                 key = ("ang", comp.id, node.id, ts.id)
@@ -104,26 +114,11 @@ def extract_solution(instance: EnergySystemInstance, lp: LinearProgram,
     for product in instance.products:
         for ts in instance.time_steps:
             sol.imports[(product.id, ts.id)] = result.value_of(lp, ("imp", product.id, ts.id))
-
-    # booked exports: positive when the node feeds the edge's oriented flow
-    for b, product in enumerate(instance.products):
-        if not product.transportable:
-            continue
-        for n, node in enumerate(instance.nodes):
-            for ts in instance.time_steps:
-                total = 0.0
-                for comp in instance.grid_components:
-                    pb, ratio = instance.grid_product(comp)
-                    if pb != b:
-                        continue
-                    for e in range(instance.n_edges):
-                        u, v = instance.edge_endpoints(e)
-                        if u == n:
-                            total += ratio * sol.flows[(comp.id, instance.edges[e].id, ts.id)]
-                        elif v == n:
-                            total -= ratio * sol.flows[(comp.id, instance.edges[e].id, ts.id)]
+    for b, totals in booked.items():
+        for node, row in zip(instance.nodes, totals):
+            for ts, total in zip(instance.time_steps, row):
                 if total != 0.0:
-                    sol.exports[(product.id, node.id, ts.id)] = total
+                    sol.exports[(instance.products[b].id, node.id, ts.id)] = total
 
     capex_prod, capex_grid, opex, ghg = annual_cost_report(
         instance, sol.capacity_expansion, sol.grid_expansion, sol.production, sol.imports)

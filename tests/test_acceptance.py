@@ -185,15 +185,15 @@ def test_criterion_7_solver_duels():
 
 def test_criterion_8_scaling_trend():
     sweep = (8, 16, 32, 48)
-    ratios = {}
-    for steps in sweep:
-        instance = factories.uniform_ring_instance(16, steps)
-        sparta_walls, full_walls = [], []
-        for _ in range(2):
-            report = run_pipeline(instance, SpArtaConfig(epsilon_target=0.05)).report
-            sparta_walls.append(report.wall_sparta_s)
-            full_walls.append(report.wall_full_s)
-        ratios[steps] = min(sparta_walls) / min(full_walls)
+    instances = {steps: factories.uniform_ring_instance(16, steps) for steps in sweep}
+    sparta_walls = {steps: [] for steps in sweep}
+    full_walls = {steps: [] for steps in sweep}
+    for _ in range(3):  # round-robin, so a slow stretch of the host hits every T alike
+        for steps in sweep:
+            report = run_pipeline(instances[steps], SpArtaConfig(epsilon_target=0.05)).report
+            sparta_walls[steps].append(report.wall_sparta_s)
+            full_walls[steps].append(report.wall_full_s)
+    ratios = {steps: min(sparta_walls[steps]) / min(full_walls[steps]) for steps in sweep}
     curve = " ".join(f"T={t}:{ratios[t]:.2f}" for t in sweep)
     print(f"criterion 8: runtime ratio curve {curve}")
     assert ratios[sweep[-1]] <= ratios[sweep[0]], curve

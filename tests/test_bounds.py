@@ -9,6 +9,7 @@ import pytest
 from sparta import bounds, simplex
 from sparta.bounds import (
     ADDITIVE_LOSSES,
+    COMPOUND_LOSSES,
     LOWER,
     UPPER,
     MeritOrderTable,
@@ -488,8 +489,7 @@ def _relabelled(lp, node_of):
         lp.objective_constant, rows
 
 
-@pytest.mark.parametrize("mode", [TRANSSHIPMENT, DC])
-def test_singleton_bound_lps_are_the_full_lp(mode):
+def _singleton_corpus(mode):
     instances = [generate(GeneratorSpec(seed=seed, n_nodes=n, n_time_steps=n, n_products=3,
                                         n_components=5, transport_mode=mode))
                  for n in (4, 8) for seed in (0, 1)]
@@ -500,7 +500,33 @@ def test_singleton_bound_lps_are_the_full_lp(mode):
     else:
         instances += [factories.line_instance(mode=DC), factories.triangle_dc_instance(),
                       factories.heat_and_power_instance(mode=DC)]
-    for instance in instances:
+    return instances
+
+
+def _in_order(lp):
+    """Every array of the LP as built, in its own row and column order."""
+    matrix = lp.matrix()
+    lb, ub = lp.bounds()
+    return (lp.variable_keys, lp.constraint_keys, matrix.indptr.tolist(),
+            matrix.indices.tolist(), matrix.data.tolist(), lb.tolist(), ub.tolist(),
+            lp.objective_vector().tolist(), lp.relations(), lp.rhs_vector().tolist(),
+            lp.objective_constant)
+
+
+@pytest.mark.parametrize("mode", [TRANSSHIPMENT, DC])
+@pytest.mark.parametrize("loss_model", [COMPOUND_LOSSES, ADDITIVE_LOSSES])
+def test_singleton_bound_lps_are_identical_in_order(mode, loss_model):
+    # run_iterations solves the lower-bound LP once at k = n and reads the
+    # upper bound off the same result, which is sound only while this holds
+    for instance in _singleton_corpus(mode):
+        assign = _assignment(instance, np.arange(instance.n_nodes))
+        assert _in_order(build_ub_lp(instance, assign, loss_model=loss_model)) == \
+            _in_order(build_lb_lp(instance, assign))
+
+
+@pytest.mark.parametrize("mode", [TRANSSHIPMENT, DC])
+def test_singleton_bound_lps_are_the_full_lp(mode):
+    for instance in _singleton_corpus(mode):
         assign = _assignment(instance, np.arange(instance.n_nodes))
         node_of = {a: members[0] for a, members in assign.clusters.items()}
         full = _relabelled(build_full_lp(instance), node_of)

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 import sparta.clustering
 from sparta.clustering import (
@@ -19,6 +21,8 @@ from sparta.clustering import (
     node_features,
     split_disconnected,
 )
+from sparta.generator import GeneratorSpec, generate
+from sparta.model import DC, TRANSSHIPMENT
 
 import _factories as factories
 
@@ -173,6 +177,45 @@ def test_split_idempotent_and_partition_property():
             else:
                 assert edge.id in once.external_edges[ca]
                 assert edge.id in once.external_edges[cb]
+
+
+def _split_per_cluster(instance, assignment):
+    """Reference split: one connected-components call per cluster."""
+    node_pos = {node.id: i for i, node in enumerate(instance.nodes)}
+    labels = np.zeros(instance.n_nodes, dtype=int)
+    next_id = 0
+    for a in sorted(assignment.clusters):
+        positions = [node_pos[m] for m in assignment.clusters[a]]
+        local = {p: i for i, p in enumerate(positions)}
+        rows, cols = [], []
+        for eid in assignment.internal_edges[a]:
+            edge = instance.edges[instance.edge_index(eid)]
+            rows.append(local[node_pos[edge.node_a]])
+            cols.append(local[node_pos[edge.node_b]])
+        graph = sp.coo_matrix((np.ones(len(rows)), (rows, cols)),
+                              shape=(len(positions), len(positions)))
+        n_parts, parts = connected_components(graph, directed=False)
+        for i, p in enumerate(positions):
+            labels[p] = next_id + int(parts[i])
+        next_id += n_parts
+    return assignment_from_labels(instance, labels)
+
+
+def test_split_matches_per_cluster_components():
+    rng = np.random.default_rng(8)
+    trials = splits = 0
+    for mode in (TRANSSHIPMENT, DC):
+        for n in (4, 8, 12, 16, 24):
+            instance = generate(GeneratorSpec(seed=n, n_nodes=n, n_time_steps=1,
+                                              transport_mode=mode))
+            for _ in range(25):
+                k = int(rng.integers(1, n + 1))
+                assignment = assignment_from_labels(instance, rng.integers(0, k, size=n))
+                after = split_disconnected(instance, assignment)
+                assert after == _split_per_cluster(instance, assignment)
+                trials += 1
+                splits += after.k > assignment.k
+    assert trials == 250 and splits >= 50
 
 
 def test_cluster_nodes_end_to_end():

@@ -1,17 +1,21 @@
 """Resolution-loop tests: gap arithmetic, extrapolation, termination paths."""
 
 import dataclasses
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from sparta import io, simplex
+from sparta import driver, io, simplex
 from sparta.bounds import ADDITIVE_LOSSES, COMPOUND_LOSSES, LOWER, UPPER
 from sparta.clustering import HIERARCHICAL, KMEANS, KMEDOIDS
 from sparta.driver import (
+    CAPPED_AT_N,
     CONVERGED,
     FAST_FORWARD,
+    FIXED_STEP,
+    MIN_STEP,
     BoundIterationRecord,
     RunResult,
     SpArtaConfig,
@@ -19,8 +23,10 @@ from sparta.driver import (
     gap,
     run_iterations,
 )
+from sparta.generator import GeneratorSpec, generate
 from sparta.lp import UNBOUNDED, InfeasibleInstanceError, SolveResult, UnboundedModelError
 from sparta.model import (
+    DC,
     GRID,
     PRODUCTION,
     TRANSSHIPMENT,
@@ -31,6 +37,7 @@ from sparta.model import (
     Product,
     TimeStep,
 )
+from sparta.pipeline import solve_full
 
 import _factories as factories
 
@@ -132,6 +139,18 @@ def test_unusable_records_fall_back_to_min_step():
                                0.05, 2, 10) == 22
     assert fast_forward_next_k(_rec(20, 90.0, 130.0), _rec(20, 96.0, 116.0),
                                0.05, 1, 10) == 21  # same resolution twice
+
+
+def test_next_k_names_its_rule():
+    config = SpArtaConfig(max_step=10)
+    history = [_rec(10, 90.0, 130.0), _rec(20, 96.0, 116.0)]
+    assert driver._next_k(config, history[:1], 40) == (11, MIN_STEP)  # no trend yet
+    assert driver._next_k(config, history, 40) == (26, FAST_FORWARD)
+    assert driver._next_k(config, history, 24) == (24, CAPPED_AT_N)
+    flat = [_rec(10, 90.0, 130.0), _rec(20, 90.0, 130.0)]
+    assert driver._next_k(config, flat, 40) == (21, MIN_STEP)
+    fixed = SpArtaConfig(step_rule="fixed:3")
+    assert driver._next_k(fixed, history, 40) == (23, FIXED_STEP)
 
 
 # -- configuration ----------------------------------------------------------------
@@ -299,3 +318,52 @@ def test_aggregated_design_bookkeeping():
 def test_run_iterations_rejects_an_invalid_instance():
     with pytest.raises(ValueError, match="edge loop: self-loop"):
         run_iterations(factories.looped_line_instance())
+
+
+@pytest.mark.parametrize("instance", [
+    factories.heat_and_power_instance(),
+    factories.heat_and_power_instance(mode=DC),
+    generate(GeneratorSpec(seed=3, n_nodes=6, n_time_steps=4, n_products=3, n_components=5)),
+], ids=["heat-and-power", "heat-and-power-dc", "generated-6x4"])
+def test_full_resolution_pass_solves_one_lp(instance, monkeypatch):
+    full_tac = solve_full(instance).tac
+    real_solve = simplex.solve
+    solved = []
+
+    def solve(lp, *args, **kwargs):
+        solved.append(lp.name)
+        return real_solve(lp, *args, **kwargs)
+
+    monkeypatch.setattr(simplex, "solve", solve)
+    result = run_iterations(instance, SpArtaConfig(initial_k=instance.n_nodes))
+    assert solved == [f"{LOWER}-k{instance.n_nodes}"]
+    (rec,) = result.history
+    assert rec.tac_ub == rec.tac_lb and rec.epsilon == 0.0
+    assert rec.wall_ub_s == 0.0 and rec.wall_lb_s > 0.0
+    assert result.reason == CONVERGED
+    assert result.ub_solution is rec.ub_solution
+    assert result.ub_solution.tac == pytest.approx(full_tac, rel=1e-9)
+
+
+def test_each_pass_leaves_one_debug_record(caplog):
+    instance = factories.heat_and_power_instance()
+    with caplog.at_level(logging.DEBUG, logger="sparta.driver"):
+        result = run_iterations(instance, SpArtaConfig(
+            epsilon_target=1e-15, step_rule="fixed:1"))
+    records = [r for r in caplog.records if r.name == "sparta.driver"]
+    assert len(records) == len(result.history) == 3
+    for rec, hist in zip(records, result.history):
+        assert rec.levelname == "DEBUG"
+        assert (rec.iteration, rec.k_requested, rec.k_effective) == \
+            (hist.iteration, hist.k_requested, hist.k_effective)
+        assert (rec.tac_lb, rec.tac_ub, rec.epsilon) == (hist.tac_lb, hist.tac_ub, hist.epsilon)
+        assert (rec.wall_lb_s, rec.wall_ub_s) == (hist.wall_lb_s, hist.wall_ub_s)
+    assert [(r.next_k, r.next_k_rule) for r in records] == \
+        [(3, FIXED_STEP), (4, FIXED_STEP), (None, None)]
+    assert [r.shared_solve for r in records] == [False, False, True]
+
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="sparta.driver"):
+        run_iterations(instance, SpArtaConfig(epsilon_target=1e-15, step_rule="fixed:5"))
+    first = next(r for r in caplog.records if r.name == "sparta.driver")
+    assert (first.next_k, first.next_k_rule) == (4, CAPPED_AT_N)

@@ -8,6 +8,7 @@ import pytest
 
 from sparta import simplex
 from sparta.full_model import build_full_lp, check_reachability
+from sparta.generator import GeneratorSpec, generate
 from sparta.lp import OPTIMAL, SolutionMismatchError, StructurallyInfeasibleError
 from sparta.model import DC, TRANSSHIPMENT
 from sparta.solution import extract_solution
@@ -129,6 +130,44 @@ def test_export_booking_sums_to_zero():
             net = sum(sol.exports.get((product.id, node.id, ts.id), 0.0)
                       for node in instance.nodes)
             assert net == pytest.approx(0.0, abs=1e-7)
+
+
+def _exports_by_scan(instance, sol):
+    """Reference booking: every edge scanned for each (product, node, step)."""
+    exports = {}
+    for b, product in enumerate(instance.products):
+        if not product.transportable:
+            continue
+        for n, node in enumerate(instance.nodes):
+            for ts in instance.time_steps:
+                total = 0.0
+                for comp in instance.grid_components:
+                    pb, ratio = instance.grid_product(comp)
+                    if pb != b:
+                        continue
+                    for e, edge in enumerate(instance.edges):
+                        u, v = instance.edge_endpoints(e)
+                        if u == n:
+                            total += ratio * sol.flows[(comp.id, edge.id, ts.id)]
+                        elif v == n:
+                            total -= ratio * sol.flows[(comp.id, edge.id, ts.id)]
+                if total != 0.0:
+                    exports[(product.id, node.id, ts.id)] = total
+    return exports
+
+
+@pytest.mark.parametrize("mode", [TRANSSHIPMENT, DC])
+def test_export_booking_matches_the_per_node_scan(mode):
+    instances = [generate(GeneratorSpec(seed=seed, n_nodes=6, n_time_steps=4, n_products=3,
+                                        n_components=5, transport_mode=mode))
+                 for seed in (0, 1)]
+    instances += [factories.heat_and_power_instance(mode=mode),
+                  factories.line_instance(efficiency=0.97, mode=mode)]
+    for instance in instances:
+        lp, res = _solve(instance)
+        sol = extract_solution(instance, lp, res)
+        assert sol.exports  # something crosses an edge
+        assert list(sol.exports.items()) == list(_exports_by_scan(instance, sol).items())
 
 
 def test_two_node_export_antisymmetry():
