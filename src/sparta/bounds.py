@@ -11,8 +11,12 @@ stays realizable after disaggregation.
 At the identity partition, where every node is its own cluster, the
 relaxation relaxes nothing: the lower-bound LP is the full-resolution LP.
 :func:`sparta.full_model.build_full_lp` builds it that way, with each region
-keyed by its node id instead of a cluster index.  The structural checks that
-every build runs first live here too.
+keyed by its node id instead of a cluster index.
+
+The builders only assemble.  The structural checks of an instance
+(:func:`check_reachability`, :func:`check_existing_within_limits`) live here
+too, but they depend on the instance alone, so the entry points run them once
+per instance before building anything.
 """
 
 from __future__ import annotations
@@ -30,14 +34,6 @@ from .model import TRANSSHIPMENT, EnergySystemInstance
 
 LOWER = "lower"
 UPPER = "upper"
-
-# internal-loss charge models for the upper bound: the compound form treats
-# the cluster's peak flow as shrinking multiplicatively edge by edge; the
-# additive form charges every internal edge as if it carried the whole peak,
-# which dominates the full model's per-edge loss accounting on serial chains
-COMPOUND_LOSSES = "compound"
-ADDITIVE_LOSSES = "additive"
-LOSS_MODELS = (COMPOUND_LOSSES, ADDITIVE_LOSSES)
 
 
 def _possible_producers(instance: EnergySystemInstance, theta: np.ndarray, b: int) -> np.ndarray:
@@ -70,9 +66,7 @@ def check_reachability(instance: EnergySystemInstance) -> None:
 
     problems: list[str] = []
     for b, product in enumerate(instance.products):
-        # a residue below 1e-12 (boundary inflows folded into a cluster
-        # slice's demand that cancel it up to rounding) is no demand
-        demand_nodes = np.flatnonzero(instance.demand[b].max(axis=1) > 1e-12)
+        demand_nodes = np.flatnonzero(instance.demand[b].max(axis=1) > 0.0)
         if demand_nodes.size == 0:
             continue
         producers = _possible_producers(instance, theta, b)
@@ -204,8 +198,7 @@ def _buildable_production(instance: EnergySystemInstance) -> np.ndarray:
     return out
 
 
-def merit_order(instance: EnergySystemInstance,
-                assignment: ClusterAssignment) -> MeritOrderTable:
+def merit_order(instance: EnergySystemInstance) -> MeritOrderTable:
     """Dispatchable share of existing units under the cheapest-buildable cutoff.
 
     For every locally bound product, existing units costlier to run than the
@@ -275,8 +268,7 @@ def _firm_shortfall(instance: EnergySystemInstance) -> np.ndarray:
     return firm
 
 
-def secured_gaps(instance: EnergySystemInstance, assignment: ClusterAssignment,
-                 merit: MeritOrderTable) -> SecuredCapacityGap:
+def secured_gaps(instance: EnergySystemInstance, merit: MeritOrderTable) -> SecuredCapacityGap:
     """Firm-capacity and peak-demand shortfalls per node.
 
     firm_shortfall is left unclamped so callers can see surpluses; rows built
@@ -297,16 +289,14 @@ def build_lb_lp(instance: EnergySystemInstance,
 
 
 def build_ub_lp(instance: EnergySystemInstance,
-                assignment: ClusterAssignment,
-                loss_model: str = COMPOUND_LOSSES) -> LinearProgram:
+                assignment: ClusterAssignment) -> LinearProgram:
     """Restricted cluster-level design LP; its optimum never undercuts full scale.
 
-    The compound loss model can undercharge serial chains whose demand sits at
-    the far end; pass ``ADDITIVE_LOSSES`` when a rigorous bound matters more
-    than a tight one.
+    Internal transport losses are charged additively: every internal edge as
+    if it carried the cluster's whole peak flow, which covers the full
+    model's per-edge losses even on serial chains fed from one end.
     """
-    return _AggregatedBuilder(instance, assignment, UPPER,
-                              loss_model=loss_model).build()
+    return _AggregatedBuilder(instance, assignment, UPPER).build()
 
 
 class _AggregatedBuilder:
@@ -320,11 +310,7 @@ class _AggregatedBuilder:
     """
 
     def __init__(self, instance: EnergySystemInstance, assignment: ClusterAssignment | None,
-                 bound_kind: str, loss_model: str = COMPOUND_LOSSES):
-        check_reachability(instance)
-        check_existing_within_limits(instance)
-        if loss_model not in LOSS_MODELS:
-            raise ValueError(f"unknown loss model {loss_model!r}")
+                 bound_kind: str):
         # region keys and the names of the two per-region floor rows
         if assignment is None:  # singletons are connected, no split check needed
             assignment = assignment_from_labels(instance, np.arange(instance.n_nodes))
@@ -338,7 +324,6 @@ class _AggregatedBuilder:
         self.inst = instance
         self.assign = assignment
         self.kind = bound_kind
-        self.loss_model = loss_model
         self.agg = aggregate_parameters(instance, assignment, bound_kind)
         self.theta = instance.ratio_matrix()
         self.weights = np.array([ts.weight for ts in instance.time_steps])
@@ -366,8 +351,8 @@ class _AggregatedBuilder:
             pb, ratio = instance.grid_product(comp)
             self.carriers.setdefault(pb, []).append((g, ratio))
         if bound_kind == UPPER:
-            self.merit = merit_order(instance, assignment)
-            self.gaps = secured_gaps(instance, assignment, self.merit)
+            self.merit = merit_order(instance)
+            self.gaps = secured_gaps(instance, self.merit)
             self.usable = _usable_existing_output(instance, self.merit)
             self.firm_shortfall = self.gaps.firm_shortfall
         else:  # the relaxation reads none of the merit order
@@ -408,18 +393,15 @@ class _AggregatedBuilder:
                    for b, p in enumerate(self.inst.products))
 
     def _loss_fraction(self, b: int, a: int) -> float:
-        """Worst-case share of the cluster's peak flow lost to internal transport."""
+        """Worst-case share of the cluster's peak flow lost to internal transport.
+
+        Every internal edge is charged as if it carried the whole peak, so the
+        sum covers the per-edge losses of any route through the cluster.
+        """
         worst_eta = min((1.0 if comp.transport_mode != TRANSSHIPMENT else comp.grid_efficiency
                          for comp in (self.inst.grid_components[g] for g, _ in self.carriers[b])),
                         default=1.0)
-        per_edge = [(1.0 - worst_eta) * self.inst.edges[e].length
-                    for e in self.internal[a]]
-        if self.loss_model == ADDITIVE_LOSSES:
-            return sum(per_edge)
-        retained = 1.0
-        for share in per_edge:
-            retained *= max(0.0, 1.0 - share)
-        return 1.0 - retained
+        return sum((1.0 - worst_eta) * self.inst.edges[e].length for e in self.internal[a])
 
     def _internal_existing(self, b: int, edge_pos: int) -> float:
         """Existing transport capacity on one edge, in product units."""
@@ -802,7 +784,6 @@ class AggregatedSolution:
     tac: float
     capacity_expansion: dict[tuple[str, int], float]
     grid_expansion: dict[tuple[str, str], float]
-    production: dict[tuple[str, int, str], float]
     external_flows: dict[tuple[str, str, str], float]
     imports: dict[tuple[str, str], float]
     cluster_emissions: dict[int, float]
@@ -818,14 +799,12 @@ def extract_aggregated_solution(instance: EnergySystemInstance,
         raise ValueError(f"cannot extract from a result with status {result.status!r}")
     cluster_of = {nid: a for nid, a in assignment.cluster_of.items()}
     capacity: dict[tuple[str, int], float] = {}
-    production: dict[tuple[str, int, str], float] = {}
     emissions = {a: 0.0 for a in assignment.clusters}
     for comp in instance.production_components:
         for a in assignment.clusters:
             capacity[(comp.id, a)] = result.value_of(lp, ("cap", comp.id, a))
             for t, ts in enumerate(instance.time_steps):
                 level = result.value_of(lp, ("prod", comp.id, a, ts.id))
-                production[(comp.id, a, ts.id)] = level
                 emissions[a] += comp.op_emission * ts.weight * level
     grid: dict[tuple[str, str], float] = {}
     flows: dict[tuple[str, str, str], float] = {}
@@ -846,8 +825,7 @@ def extract_aggregated_solution(instance: EnergySystemInstance,
                for product in instance.products if product.import_allowed
                for ts in instance.time_steps}
     return AggregatedSolution(tac=result.objective, capacity_expansion=capacity,
-                              grid_expansion=grid, production=production,
-                              external_flows=flows, imports=imports,
+                              grid_expansion=grid, external_flows=flows, imports=imports,
                               cluster_emissions=emissions,
                               ghg=sum(emissions.values()))
 
@@ -862,8 +840,8 @@ def bound_diagnostics(instance: EnergySystemInstance, assignment: ClusterAssignm
     package calls it; it is a diagnostic for inspecting a clustering by hand.
     """
     agg = aggregate_parameters(instance, assignment, bound_kind)
-    merit = merit_order(instance, assignment)
-    gaps = secured_gaps(instance, assignment, merit)
+    merit = merit_order(instance)
+    gaps = secured_gaps(instance, merit)
     carried = {b for b in range(instance.n_products)
                for comp in instance.grid_components
                if instance.grid_product(comp)[0] == b}

@@ -17,6 +17,10 @@ a curtailable cluster balance).  Its result is therefore read and priced by
 :func:`~sparta.solution.extract_solution` on that slice, which also checks the
 cost and emissions against the solver, and the recombined design is priced by
 :func:`~sparta.solution.annual_cost_report` like any full-scale solution.
+The slices get no structural check of their own (the instance had its one
+before the bound loop): a cluster whose folded-in demand its members cannot
+serve comes back infeasible from its solve and raises
+:class:`~sparta.lp.SubproblemError`.
 
 Boundary bookkeeping is lossless: the fixed flow enters the member node at
 full value, and no boundary loss term is charged inside the subproblem.  The
@@ -44,7 +48,6 @@ from .lp import (
     LinearProgram,
     SolutionMismatchError,
     SolveResult,
-    StructurallyInfeasibleError,
     SubproblemError,
 )
 from .model import EnergySystemInstance
@@ -65,7 +68,6 @@ class ClusterSubproblem:
     cluster: int
     members: tuple[str, ...]
     instance: EnergySystemInstance  # the cluster's slice that ``lp`` is built on
-    boundary_flows: dict[tuple[str, str, str], float]  # (component, edge, step)
     capacity_budgets: dict[str, float]  # component id -> fixed total addition
     import_shares: dict[tuple[str, str], float]  # (product, step) -> ceiling
     ghg_budget: float
@@ -111,7 +113,7 @@ def _cluster_instance(
     assignment: ClusterAssignment,
     ub_solution: AggregatedSolution,
     cluster: int,
-) -> tuple[EnergySystemInstance, dict[tuple[str, str, str], float]]:
+) -> EnergySystemInstance:
     """Slice one cluster out of the instance with boundary flows folded in.
 
     A fixed inflow reduces the receiving node's demand (possibly below zero,
@@ -127,7 +129,6 @@ def _cluster_instance(
     edge_positions = np.array([instance.edge_index(e.id) for e in internal], dtype=int)
 
     demand = instance.demand[:, positions, :].copy()
-    boundary: dict[tuple[str, str, str], float] = {}
     for eid in assignment.external_edges[cluster]:
         edge = instance.edges[instance.edge_index(eid)]
         inside = edge.node_b if assignment.cluster_of[edge.node_b] == cluster else edge.node_a
@@ -136,7 +137,6 @@ def _cluster_instance(
             b, ratio = instance.grid_product(comp)
             for t, ts in enumerate(instance.time_steps):
                 flow = ub_solution.external_flows.get((comp.id, eid, ts.id), 0.0)
-                boundary[(comp.id, eid, ts.id)] = flow
                 if flow != 0.0:
                     demand[b, local_of[inside], t] -= ratio * flow * sign
 
@@ -157,7 +157,7 @@ def _cluster_instance(
     else:
         existing_grid = np.zeros((len(instance.grid_components), 0, instance.n_prior_years))
     ghg_budget = ub_solution.cluster_emissions.get(cluster, 0.0)
-    sub = EnergySystemInstance(
+    return EnergySystemInstance(
         products=products,
         components=instance.components,
         nodes=tuple(instance.nodes[p] for p in positions),
@@ -171,7 +171,6 @@ def _cluster_instance(
         ghg_limit=ghg_budget if math.isfinite(instance.ghg_limit) else math.inf,
         interest_rate=instance.interest_rate,
     )
-    return sub, boundary
 
 
 def _import_shares(
@@ -208,14 +207,9 @@ def build_cluster_subproblem(
     Capacity additions must sum to the cluster's aggregated value per
     component, boundary flows are constants, internal grid expansion stays
     free, and no merit-order caps apply (nodal resolution resolves dispatch).
-    Structural infeasibility here means the aggregated restriction promised
-    supply the cluster cannot deliver, which is a defect, not an input error.
     """
-    sub, boundary = _cluster_instance(instance, assignment, ub_solution, cluster)
-    try:
-        lp = build_full_lp(sub, name=f"cluster-{cluster}")
-    except StructurallyInfeasibleError as exc:
-        raise SubproblemError(f"cluster {cluster}: {exc}") from exc
+    sub = _cluster_instance(instance, assignment, ub_solution, cluster)
+    lp = build_full_lp(sub, name=f"cluster-{cluster}")
 
     # over-supply from fixed boundary inflows is curtailable, so the cluster
     # balance cannot stay an equality
@@ -238,7 +232,6 @@ def build_cluster_subproblem(
         cluster=cluster,
         members=assignment.clusters[cluster],
         instance=sub,
-        boundary_flows=boundary,
         capacity_budgets=budgets,
         import_shares=shares,
         ghg_budget=sub.ghg_limit,

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 from . import simplex
 from .bounds import (
-    COMPOUND_LOSSES,
-    LOSS_MODELS,
     AggregatedSolution,
     build_lb_lp,
     build_ub_lp,
+    check_existing_within_limits,
+    check_reachability,
     extract_aggregated_solution,
 )
 from .clustering import METHODS, ClusterAssignment, cluster_nodes, split_disconnected
@@ -61,7 +61,6 @@ class SpArtaConfig:
     seed: int = 0
     max_iterations: int = 100
     solver_tolerance: float = 1e-7
-    loss_model: str = COMPOUND_LOSSES
 
     def __post_init__(self) -> None:
         if not self.epsilon_target > 0.0:
@@ -74,8 +73,6 @@ class SpArtaConfig:
             raise ValueError("max_iterations must be at least 1")
         if not 0.0 < self.solver_tolerance < math.inf:
             raise ValueError("solver_tolerance must be positive and finite")
-        if self.loss_model not in LOSS_MODELS:
-            raise ValueError(f"unknown loss model {self.loss_model!r}")
         if self.cluster_method not in METHODS:
             raise ValueError(f"unknown clustering method {self.cluster_method!r}")
         self.fixed_step()
@@ -230,11 +227,13 @@ def run_iterations(instance: EnergySystemInstance,
     LPs are the same monolithic LP, so only the lower bound's is built and
     solved: that pass has ``tac_ub == tac_lb`` (so the gap always closes
     there), its design comes from the same solve, and its ``wall_ub_s`` is
-    0.0.
+    0.0.  The instance's structural checks run once, before the first build.
     """
     report = validate_instance(instance)
     if not report.ok:
         raise ValueError("invalid instance: " + "; ".join(report.violations))
+    check_reachability(instance)
+    check_existing_within_limits(instance)
     config = config or SpArtaConfig()
     n = instance.n_nodes
     history: list[BoundIterationRecord] = []
@@ -262,7 +261,7 @@ def run_iterations(instance: EnergySystemInstance,
         if shared_solve:  # the restriction's guards all vanish at singletons
             ub_lp, ub_res, wall_ub_s = lb_lp, lb_res, 0.0
         else:
-            ub_lp = build_ub_lp(instance, assignment, loss_model=config.loss_model)
+            ub_lp = build_ub_lp(instance, assignment)
             ub_res = simplex.solve(ub_lp, config.solver_tolerance)
             wall_ub_s = ub_res.wall_time
         ub_solution = None

@@ -12,6 +12,9 @@ its own cluster and internal transport no longer exists, built with node ids
 in its keys.  The builder doubles as the restricted re-solves used later in
 the pipeline: fixing both capacity dictionaries yields the operational check,
 fixing only the converter side yields the network optimization.
+
+Like every builder it only assembles; :func:`sparta.pipeline.solve_full` and
+:func:`sparta.driver.run_iterations` run the structural checks once first.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 from typing import Mapping
 
 from .bounds import LOWER, _AggregatedBuilder
-from .bounds import check_existing_within_limits, check_reachability  # noqa: F401 (re-exported)
 from .lp import LinearProgram
 from .model import EnergySystemInstance
 

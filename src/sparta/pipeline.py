@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Any
 
 from . import simplex
+from .bounds import check_existing_within_limits, check_reachability
 from .decompose import (
     ClusterRedesign,
     FullDesign,
@@ -97,6 +98,8 @@ def solve_full(instance: EnergySystemInstance, tol: float = 1e-7) -> SystemSolut
     report = validate_instance(instance)
     if not report.ok:
         raise ValueError("invalid instance: " + "; ".join(report.violations))
+    check_reachability(instance)
+    check_existing_within_limits(instance)
     lp = build_full_lp(instance)
     result = simplex.solve(lp, tol)
     if result.status == INFEASIBLE:

@@ -180,6 +180,41 @@ def triangle_dc_instance() -> EnergySystemInstance:
     )
 
 
+def chain_instance(n_nodes: int, efficiency: float = 1.0) -> EnergySystemInstance:
+    """``n_nodes`` in a row joined by unit-length wires of the given efficiency.
+
+    Generation may be built only at n0 and the demand of 100 sits at the far
+    end, so every node in between is producer-less and the power crosses the
+    whole chain.  Each wire already carries 200.
+    """
+    nodes = tuple(Node(id=f"n{i}", x=float(i), y=0.0) for i in range(n_nodes))
+    edges = tuple(Edge(id=f"e{i}", node_a=f"n{i - 1}", node_b=f"n{i}", length=1.0)
+                  for i in range(1, n_nodes))
+    demand = np.zeros((1, n_nodes, 1))
+    demand[0, -1, 0] = 100.0
+    return EnergySystemInstance(
+        products=(Product(id="elec", transportable=True),),
+        components=(
+            Component(id="gen", kind=PRODUCTION, ratio={"elec": 1.0},
+                      invest_cost=np.array([0.0, 10.0]), op_cost=1.0,
+                      lifetime=1, discount_period=1,
+                      nodal_capacity_limit={node.id: 0.0 for node in nodes[1:]}),
+            Component(id="wire", kind=GRID, ratio={"elec": 1.0},
+                      invest_cost=np.array([0.0, 5.0]), lifetime=1,
+                      discount_period=1, grid_efficiency=efficiency,
+                      transport_mode=TRANSSHIPMENT),
+        ),
+        nodes=nodes,
+        edges=edges,
+        time_steps=(TimeStep(id="t1", duration=1.0, weight=1.0),),
+        years=(2025, 2030),
+        demand=demand,
+        availability=np.ones((1, n_nodes, 1)),
+        existing_production=np.zeros((1, n_nodes, 1)),
+        existing_grid=np.full((1, n_nodes - 1, 1), 200.0),
+    )
+
+
 def bare_topology(node_ids, edge_spec, coords=None) -> EnergySystemInstance:
     """Topology-only instance (zero demand) for clustering and splitting tests.
 

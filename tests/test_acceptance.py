@@ -216,20 +216,17 @@ def test_criterion_9_unit_formulas():
 
     short = bounds_oracles._heat_node_instance(
         floor=8.0, cheap_existing=10.0, costly_existing=0.0, capacity_factor=0.5)
-    assign = bounds_oracles._assignment(short, [0])
-    gaps = secured_gaps(short, assign, merit_order(short, assign))
+    gaps = secured_gaps(short, merit_order(short))
     assert gaps.firm_shortfall[0, 0] == pytest.approx(3.0, abs=1e-9)
 
     surplus = bounds_oracles._heat_node_instance(
         floor=8.0, cheap_existing=9.0, costly_existing=0.0)
-    assign = bounds_oracles._assignment(surplus, [0])
-    gaps = secured_gaps(surplus, assign, merit_order(surplus, assign))
+    gaps = secured_gaps(surplus, merit_order(surplus))
     assert gaps.firm_shortfall[0, 0] == pytest.approx(-1.0, abs=1e-9)
 
     peaked = bounds_oracles._heat_node_instance(
         demand=10.0, cheap_existing=6.0, costly_existing=0.0)
-    assign = bounds_oracles._assignment(peaked, [0])
-    gaps = secured_gaps(peaked, assign, merit_order(peaked, assign))
+    gaps = secured_gaps(peaked, merit_order(peaked))
     assert gaps.peak_shortfall[0, 0] == pytest.approx(4.0, abs=1e-9)
 
     chain = bounds_oracles._chain_instance(demand_end=5.0, wire_existing=(3.0, 3.0))

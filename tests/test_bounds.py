@@ -8,8 +8,6 @@ import pytest
 
 from sparta import bounds, simplex
 from sparta.bounds import (
-    ADDITIVE_LOSSES,
-    COMPOUND_LOSSES,
     LOWER,
     UPPER,
     MeritOrderTable,
@@ -198,14 +196,14 @@ def test_unknown_bound_kind_rejected():
 
 def test_costlier_than_buildable_existing_is_priced_out():
     instance = _heat_node_instance()
-    table = merit_order(instance, _assignment(instance, [0]))
+    table = merit_order(instance)
     assert table.reference_op_cost["heat"] == pytest.approx(0.04)
     assert table.usable_share[0, 0, 0] == 0.0  # 0.05 > cheapest buildable 0.04
 
 
 def test_partial_merit_share():
     instance = _heat_node_instance(demand=5.0, cheap_existing=10.0)
-    table = merit_order(instance, _assignment(instance, [0]))
+    table = merit_order(instance)
     assert table.usable_share[1, 0, 0] == pytest.approx(0.5)  # 5 of 10 usable
     theta = instance.ratio_matrix()
     served = sum(theta[0, c] * table.usable_share[c, 0, 0]
@@ -217,13 +215,13 @@ def test_partial_merit_share():
 
 def test_no_existing_no_allocation():
     instance = _heat_node_instance(cheap_existing=0.0)
-    table = merit_order(instance, _assignment(instance, [0]))
+    table = merit_order(instance)
     assert table.usable_share[1, 0, 0] == 0.0
 
 
 def test_reference_without_buildable_units_is_infinite():
     instance = _heat_node_instance(buildable=False)
-    table = merit_order(instance, _assignment(instance, [0]))
+    table = merit_order(instance)
     assert math.isinf(table.reference_op_cost["heat"])
     # nothing is priced out; the cheap unit fills the demand first
     assert table.usable_share[1, 0, 0] == pytest.approx(0.5)
@@ -232,8 +230,7 @@ def test_reference_without_buildable_units_is_infinite():
 
 def test_merit_allocation_never_exceeds_demand():
     hp = factories.heat_and_power_instance()
-    assign = _assignment(hp, [0, 0, 1, 1])
-    table = merit_order(hp, assign)
+    table = merit_order(hp)
     assert np.all(table.usable_share >= 0.0) and np.all(table.usable_share <= 1.0)
     theta = hp.ratio_matrix()
     held = hp.existing_production.sum(axis=2)
@@ -251,20 +248,17 @@ def test_merit_allocation_never_exceeds_demand():
 def test_firm_shortfall_after_derating():
     instance = _heat_node_instance(floor=8.0, cheap_existing=10.0,
                                    costly_existing=0.0, capacity_factor=0.5)
-    assign = _assignment(instance, [0])
-    gaps = secured_gaps(instance, assign, merit_order(instance, assign))
+    gaps = secured_gaps(instance, merit_order(instance))
     assert gaps.firm_shortfall[0, 0] == pytest.approx(3.0)  # floor 8 minus firm 5
 
     surplus = _heat_node_instance(floor=8.0, cheap_existing=9.0, costly_existing=0.0)
-    assign = _assignment(surplus, [0])
-    gaps = secured_gaps(surplus, assign, merit_order(surplus, assign))
+    gaps = secured_gaps(surplus, merit_order(surplus))
     assert gaps.firm_shortfall[0, 0] == pytest.approx(-1.0)  # surplus kept visible
 
 
 def test_peak_shortfall_net_of_usable_existing():
     instance = _heat_node_instance(demand=10.0, cheap_existing=6.0, costly_existing=0.0)
-    assign = _assignment(instance, [0])
-    gaps = secured_gaps(instance, assign, merit_order(instance, assign))
+    gaps = secured_gaps(instance, merit_order(instance))
     assert gaps.peak_shortfall[0, 0] == pytest.approx(4.0)  # peak 10, usable 6
 
 
@@ -367,40 +361,30 @@ def test_worst_case_loss_fraction_on_peak_flow():
     merged = _assignment(instance, [0, 0, 0])
     high = build_ub_lp(instance, merged)
     fmax = high.var_index(("fmax", "elec", 0, "t1"))
-    # retained shares 0.98 and 0.95 compound to a 6.9% worst-case loss
+    # each internal edge is charged the whole peak: 2% + 5% = 7% worst-case loss
     assert high.row_coefficients(("sysbal", "elec", "t1"))[fmax] \
-        == pytest.approx(-0.069)
+        == pytest.approx(-0.07)
     assert high.row_coefficients(("clbal", "elec", 0, "t1"))[fmax] \
-        == pytest.approx(-0.069)
+        == pytest.approx(-0.07)
     res = _solve(high)
     assert res.value_of(high, ("fmax", "elec", 0, "t1")) == pytest.approx(100.0)
-    assert res.value_of(high, ("prod", "gen", 0, "t1")) == pytest.approx(106.9)
-    assert res.objective == pytest.approx(11.0 * 106.9, rel=1e-9)
+    assert res.value_of(high, ("prod", "gen", 0, "t1")) == pytest.approx(107.0)
+    assert res.objective == pytest.approx(11.0 * 107.0, rel=1e-9)
 
 
 def test_additive_losses_cover_serial_chains():
     # demand at the chain's far end rides over both edges, losing 2% + 5%;
-    # the compound charge (6.9%) undercuts that, the additive one (7%) covers it
+    # the additive charge (7%) covers that exactly
     instance = _chain_instance(efficiency=0.98, lengths=(1.0, 2.5),
                                demand_end=100.0, wire_existing=(100.0, 100.0))
     merged = _assignment(instance, [0, 0, 0])
     full = _full_tac(instance)
     assert full == pytest.approx(11.0 * 107.0, rel=1e-9)
-    compound = _solve(build_ub_lp(instance, merged)).objective
-    additive = _solve(build_ub_lp(instance, merged,
-                                  loss_model=ADDITIVE_LOSSES)).objective
+    high = _solve(build_ub_lp(instance, merged)).objective
     low = _solve(build_lb_lp(instance, merged)).objective
     assert low == pytest.approx(11.0 * 100.0, rel=1e-9)
-    assert low <= full <= additive + 1e-9
-    assert compound < full  # known gap of the compound reading, kept deliberately
-    assert additive == pytest.approx(full, rel=1e-9)
-
-
-def test_unknown_loss_model_rejected():
-    instance = _chain_instance()
-    with pytest.raises(ValueError, match="loss model"):
-        build_ub_lp(instance, _assignment(instance, [0, 0, 0]),
-                    loss_model="heuristic")
+    assert low <= full <= high + 1e-9
+    assert high == pytest.approx(full, rel=1e-9)
 
 
 def test_forced_reinforcement_matches_peak_shortfall():
@@ -514,13 +498,12 @@ def _in_order(lp):
 
 
 @pytest.mark.parametrize("mode", [TRANSSHIPMENT, DC])
-@pytest.mark.parametrize("loss_model", [COMPOUND_LOSSES, ADDITIVE_LOSSES])
-def test_singleton_bound_lps_are_identical_in_order(mode, loss_model):
+def test_singleton_bound_lps_are_identical_in_order(mode):
     # run_iterations solves the lower-bound LP once at k = n and reads the
     # upper bound off the same result, which is sound only while this holds
     for instance in _singleton_corpus(mode):
         assign = _assignment(instance, np.arange(instance.n_nodes))
-        assert _in_order(build_ub_lp(instance, assign, loss_model=loss_model)) == \
+        assert _in_order(build_ub_lp(instance, assign)) == \
             _in_order(build_lb_lp(instance, assign))
 
 
@@ -544,7 +527,7 @@ def test_restricting_existing_use_never_helps():
                             builder.merit.reference_op_cost)
     builder.merit = table
     builder.usable = bounds._usable_existing_output(hp, table)
-    builder.gaps = secured_gaps(hp, assign, table)
+    builder.gaps = secured_gaps(hp, table)
     relaxed = _solve(builder.build()).objective
     assert relaxed <= strict + 1e-7
 
@@ -554,7 +537,7 @@ def test_upper_bound_design_covers_firm_gaps():
     assign = _assignment(hp, [0, 0, 1, 1])
     lp = build_ub_lp(hp, assign)
     res = _solve(lp)
-    gaps = secured_gaps(hp, assign, merit_order(hp, assign))
+    gaps = secured_gaps(hp, merit_order(hp))
     theta = hp.ratio_matrix()
     b = 1  # heat
     for a, members in assign.clusters.items():

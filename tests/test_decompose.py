@@ -89,7 +89,6 @@ def _aggregated(caps, flows=None, emissions=None, imports=None, grid=None):
         tac=0.0,
         capacity_expansion=dict(caps),
         grid_expansion=dict(grid or {}),
-        production={},
         external_flows=dict(flows or {}),
         imports=dict(imports or {}),
         cluster_emissions=emissions,
@@ -148,8 +147,11 @@ def test_boundary_flows_feed_the_receiving_cluster():
     run, record = _terminated(inst, 1e-9)
     assert record.k_effective == 2
     sub = build_cluster_subproblem(inst, run.assignment, run.ub_solution, 1)
+    assert sub.members == ("n2",)
     for ts in inst.time_steps:
-        assert sub.boundary_flows[("wire", "e1", ts.id)] == pytest.approx(5.0)
+        assert run.ub_solution.external_flows[("wire", "e1", ts.id)] == pytest.approx(5.0)
+    # the inflow of 5 cancels the 5 units demanded at n2 in the cluster's slice
+    assert sub.instance.demand == pytest.approx(np.zeros((1, 1, inst.n_time_steps)), abs=1e-9)
     design, redesigns = redesign_all(inst, run.assignment, run.ub_solution)
     by_cluster = {r.cluster: r for r in redesigns}
     for ts in inst.time_steps:
@@ -231,8 +233,8 @@ def test_boundary_flows_within_ub_edge_capacity():
 
 def test_underfed_boundary_is_a_hard_error():
     # the fixed inflow covers 3 of the 8 units demanded at a producer-less
-    # node: that falsifies the aggregated restriction and must not pass
-    # silently as an ordinary infeasible LP
+    # node: that falsifies the aggregated restriction, and the redesign must
+    # raise instead of handing back a design
     inst = factories.line_instance()
     assignment = split_disconnected(inst, cluster_nodes(inst, 2, "kmedoids"))
     starved = _aggregated(
@@ -241,7 +243,7 @@ def test_underfed_boundary_is_a_hard_error():
         emissions={0: 160.0, 1: 0.0},
     )
     with pytest.raises(SubproblemError, match="cluster 1"):
-        build_cluster_subproblem(inst, assignment, starved, 1)
+        redesign_all(inst, assignment, starved)
 
 
 def test_dc_counterexample_is_repaired_by_network_optimization():

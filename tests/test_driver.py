@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sparta import driver, io, simplex
-from sparta.bounds import ADDITIVE_LOSSES, COMPOUND_LOSSES, LOWER, UPPER
+from sparta.bounds import LOWER, UPPER
 from sparta.clustering import HIERARCHICAL, KMEANS, KMEDOIDS
 from sparta.driver import (
     CAPPED_AT_N,
@@ -182,7 +182,6 @@ def test_config_validation():
     ("solver_tolerance", 0.0, "solver_tolerance"),
     ("solver_tolerance", math.nan, "solver_tolerance"),
     ("solver_tolerance", math.inf, "solver_tolerance"),
-    ("loss_model", "compund", "loss model"),
     ("cluster_method", "kmedians", "clustering method"),
 ])
 def test_config_rejects_fields_that_would_fail_mid_run(field, value, message):
@@ -190,10 +189,9 @@ def test_config_rejects_fields_that_would_fail_mid_run(field, value, message):
         SpArtaConfig(**{field: value})
 
 
-def test_config_accepts_every_known_loss_model_and_method():
-    for loss_model in (COMPOUND_LOSSES, ADDITIVE_LOSSES):
-        for method in (KMEANS, KMEDOIDS, HIERARCHICAL):
-            SpArtaConfig(loss_model=loss_model, cluster_method=method, solver_tolerance=1e-9)
+def test_config_accepts_every_known_method():
+    for method in (KMEANS, KMEDOIDS, HIERARCHICAL):
+        SpArtaConfig(cluster_method=method, solver_tolerance=1e-9)
 
 
 # -- the loop ---------------------------------------------------------------------
@@ -312,7 +310,6 @@ def test_aggregated_design_bookkeeping():
     assert sol.ghg <= instance.ghg_limit + 1e-6
     clusters = set(result.assignment.clusters)
     assert {a for _, a in sol.capacity_expansion} == clusters
-    assert all(v >= -1e-9 for v in sol.production.values())
 
 
 def test_run_iterations_rejects_an_invalid_instance():

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from sparta import simplex
-from sparta.full_model import build_full_lp, check_reachability
+from sparta.bounds import check_reachability
+from sparta.full_model import build_full_lp
 from sparta.generator import GeneratorSpec, generate
 from sparta.lp import OPTIMAL, SolutionMismatchError, StructurallyInfeasibleError
+from sparta.pipeline import solve_full
 from sparta.model import DC, TRANSSHIPMENT
 from sparta.solution import extract_solution
 
@@ -228,7 +230,7 @@ def test_existing_above_limit_rejected():
     comps2[1] = dataclasses.replace(comps2[1], invest_cost=np.array([6.0, 6.0]))
     seeded = dataclasses.replace(seeded, components=tuple(comps2))
     with pytest.raises(StructurallyInfeasibleError):
-        build_full_lp(seeded)
+        solve_full(seeded)
 
 
 def test_fixing_design_reproduces_operation():

@@ -11,13 +11,17 @@ import pytest
 
 import sparta.pipeline as pipeline
 from sparta import simplex
-from sparta.driver import SpArtaConfig
+from sparta.bounds import build_lb_lp
+from sparta.clustering import assignment_from_labels, split_disconnected
+from sparta.driver import SpArtaConfig, run_iterations
+from sparta.full_model import build_full_lp
 from sparta.generator import GeneratorSpec, generate
 from sparta.lp import (
     UNBOUNDED,
     DocumentFormatError,
     InfeasibleInstanceError,
     SolveResult,
+    StructurallyInfeasibleError,
     SubproblemError,
     UnboundedModelError,
 )
@@ -74,6 +78,30 @@ def test_run_pipeline_brackets_the_benchmark():
     assert r.tac_final <= r.tac_redesign + slack <= r.tac_ub + 2 * slack
     assert r.epsilon_final <= 0.05 + 1e-9
     assert r.speedup is not None and r.wall_full_s is not None
+
+
+@pytest.mark.parametrize("efficiency", [1.0, 0.98, 0.9])
+@pytest.mark.parametrize("n_nodes", [3, 4, 5, 6, 8])
+def test_run_pipeline_brackets_lossy_chains(n_nodes, efficiency):
+    # producer-less nodes between the one generator and the demand, and
+    # losses on every wire: two things the generator never makes
+    r = run_pipeline(factories.chain_instance(n_nodes, efficiency), benchmark=True).report
+    slack = 1e-6 * r.tac_full
+    assert r.tac_lb <= r.tac_full + slack
+    assert r.tac_full <= r.tac_final + slack
+    assert r.tac_final <= r.tac_ub + slack
+
+
+def test_structural_checks_run_at_the_entry_points_not_in_the_builders():
+    # with the wire gone, no producer can reach the demand at n2
+    inst = factories.line_instance()
+    cut = dataclasses.replace(inst, edges=(), existing_grid=np.zeros((1, 0, 0)))
+    build_full_lp(cut)
+    build_lb_lp(cut, split_disconnected(cut, assignment_from_labels(cut, np.zeros(2, int))))
+    with pytest.raises(StructurallyInfeasibleError, match="'n2'"):
+        solve_full(cut)
+    with pytest.raises(StructurallyInfeasibleError, match="'n2'"):
+        run_iterations(cut)
 
 
 def test_run_pipeline_no_benchmark():
